@@ -63,13 +63,24 @@ class StarSetSpec:
         return (1.0 + self.eps / 2.0) / self.r
 
 
+def _balanced(ln_pmin, ln_pmax, eps: float):
+    """(1 - eps) ln P^+ <= ln P^- up to TIE_TOL, for floats or arrays alike."""
+    return (1.0 - eps) * ln_pmax <= ln_pmin + TIE_TOL
+
+
+def _in_interval(ln_pmin, ln_pmax, spec: StarSetSpec):
+    """P^-, P^+ inside [N^a1, N^a2] up to TIE_TOL, for floats or arrays alike."""
+    ln_n = math.log(spec.N)
+    return (ln_pmin >= spec.a1 * ln_n - TIE_TOL) & (ln_pmax <= spec.a2 * ln_n + TIE_TOL)
+
+
 def is_eps_balanced(f: Factorization, eps: float) -> bool:
     """True iff P^-(n) >= P^+(n)^(1-eps), with ties counting as balanced."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need eps in [0, 1), got {eps}")
     if f.n < 2:
         raise ValueError("n = 1 is not classified; balance needs n >= 2")
-    return (1.0 - eps) * math.log(f.p_plus) <= math.log(f.p_minus) + TIE_TOL
+    return _balanced(math.log(f.p_minus), math.log(f.p_plus), eps)
 
 
 def classify(f: Factorization) -> BalanceClassification:
@@ -92,11 +103,7 @@ def in_star_set(f: Factorization, spec: StarSetSpec) -> bool:
         return False
     if f.omega_big != spec.r:
         return False
-    ln_n = math.log(N)
-    return (
-        math.log(f.p_minus) >= spec.a1 * ln_n - TIE_TOL
-        and math.log(f.p_plus) <= spec.a2 * ln_n + TIE_TOL
-    )
+    return _in_interval(math.log(f.p_minus), math.log(f.p_plus), spec)
 
 
 def in_ptilde(f: Factorization, spec: StarSetSpec) -> bool:
@@ -118,15 +125,9 @@ def _window_slice(table: FactorTable, N: int) -> slice:
 def star_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
     """Boolean star-set mask over the window offsets [N, 2N) of the table."""
     sl = _window_slice(table, spec.N)
-    ln_n = math.log(spec.N)
-    om = table.omega[sl]
     lpmin = np.log(table.p_minus[sl].astype(np.float64))
     lpmax = np.log(table.p_plus[sl].astype(np.float64))
-    return (
-        (om == spec.r)
-        & (lpmin >= spec.a1 * ln_n - TIE_TOL)
-        & (lpmax <= spec.a2 * ln_n + TIE_TOL)
-    )
+    return (table.omega[sl] == spec.r) & _in_interval(lpmin, lpmax, spec)
 
 
 def ptilde_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
@@ -148,10 +149,9 @@ def balanced_mask(N: int, r: int, eps: float, table: FactorTable) -> np.ndarray:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need eps in [0, 1), got {eps}")
     sl = _window_slice(table, N)
-    om = table.omega[sl]
     lpmin = np.log(table.p_minus[sl].astype(np.float64))
     lpmax = np.log(table.p_plus[sl].astype(np.float64))
-    return (om == r) & ((1.0 - eps) * lpmax <= lpmin + TIE_TOL)
+    return (table.omega[sl] == r) & _balanced(lpmin, lpmax, eps)
 
 
 def count_eps_r(N: int, r: int, eps: float, table: FactorTable) -> int:

@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import balanced, density, equidist, tuples, weights
+from . import __version__, balanced, density, equidist, tuples, weights
 from .sieve import build_factor_table, factorize
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = __version__
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ def _emit(args, manifest: RunManifest, rows: list[dict], summary: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _window_table(N: int, pad: int = 0):
-    return build_factor_table(min(2, N), 2 * N + pad + 1) if N <= 2 else build_factor_table(N, 2 * N + pad + 1)
 
 
 def _load_tuple(args) -> tuples.AdmissibleTuple:
@@ -242,7 +238,7 @@ def cmd_s_stat(args) -> None:
     _emit(args, _manifest(args), [], _moment_summary(rep))
 
 
-def _discrepancy_rows(rep: equidist.DiscrepancyReport) -> list[dict]:
+def _emit_discrepancy(args, rep: equidist.DiscrepancyReport) -> None:
     rows = []
     for r in rep.per_q:
         row = {"q": r.q, "worst_a": r.worst_a, "max_abs_dev": r.max_abs_dev, "main_term": r.main_term}
@@ -250,7 +246,8 @@ def _discrepancy_rows(rep: equidist.DiscrepancyReport) -> list[dict]:
             row["alt_max_abs_dev"] = r.alt_max_abs_dev
             row["alt_main_term"] = r.alt_main_term
         rows.append(row)
-    return rows
+    summary = {"total": rep.total, "main_term_used": rep.main_term_used}
+    _emit(args, _manifest(args), rows, summary)
 
 
 def cmd_bv(args) -> None:
@@ -258,8 +255,7 @@ def cmd_bv(args) -> None:
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
     table = build_factor_table(2, N + 1)
     rep = equidist.bv_prime_discrepancy(cfg, table)
-    _emit(args, _manifest(args), _discrepancy_rows(rep),
-          {"total": rep.total, "main_term_used": rep.main_term_used})
+    _emit_discrepancy(args, rep)
 
 
 def cmd_bv_star(args) -> None:
@@ -268,8 +264,7 @@ def cmd_bv_star(args) -> None:
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max, target=equidist.STAR_SET_WINDOW, spec=spec)
     table = build_factor_table(N, 2 * N)
     rep = equidist.bv_star_discrepancy(cfg, table)
-    _emit(args, _manifest(args), _discrepancy_rows(rep),
-          {"total": rep.total, "main_term_used": rep.main_term_used})
+    _emit_discrepancy(args, rep)
 
 
 def cmd_bv_weighted(args) -> None:
@@ -291,8 +286,7 @@ def cmd_bv_weighted(args) -> None:
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
     table = build_factor_table(2, N + 1)
     rep = equidist.weighted_discrepancy(cfg, args.alpha, f, table)
-    _emit(args, _manifest(args), _discrepancy_rows(rep),
-          {"total": rep.total, "main_term_used": rep.main_term_used})
+    _emit_discrepancy(args, rep)
 
 
 # -------------------------------------------------------------------- parser
@@ -302,8 +296,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; results are independent of it")
     p.add_argument("--timestamp", default=None,
                    help="fix the manifest timestamp (for reproducible outputs)")
 

@@ -7,6 +7,12 @@ from the expected main term, and the sum of those maxima over q.  A third
 variant weights the inner prime counts by a bounded coefficient f(m) over
 products m * p <= N.
 
+All three run through one kernel, `_discrepancy`: integer targets with
+optional weights (the weighted variant folds f into g(n) = sum f(m) over
+n = m * p) against a scalar main term M / phi(q).  Class totals mod q are
+the two halves of those mod 2q added, so only q in (q_max/2, q_max] takes
+a pass over the targets; each smaller q is reached by halving from one.
+
 The cutoffs that theory phrases through log powers are explicit
 parameters here; `q_max_from_log_power` is a convenience derivation only.
 """
@@ -14,12 +20,12 @@ parameters here; `q_max_from_log_power` is a convenience derivation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import balanced, density
-from .sieve import FactorTable, euler_phi_int, log_integral
+from .sieve import FactorTable, log_integral
 
 PRIMES_LE_N = "primes_le_N"
 STAR_SET_WINDOW = "star_set_window"
@@ -65,21 +71,41 @@ class DiscrepancyReport:
     main_term_used: float
 
 
-def _coprime_residues(q: int) -> list[int]:
-    return [a for a in range(q) if math.gcd(a, q) == 1]
+def _per_class_counts(values: np.ndarray, q: int, weights: np.ndarray | None = None):
+    return np.bincount(values % q, weights=weights, minlength=q)
 
 
-def _per_class_counts(values: np.ndarray, q: int) -> np.ndarray:
-    return np.bincount(values % q, minlength=q)
+def _discrepancy(
+    values: np.ndarray, weights: np.ndarray | None, q_max: int, main: float,
+    alt_main: float | None = None,
+) -> DiscrepancyReport:
+    """Worst coprime-class deviation from main / phi(q) for q = 1 .. q_max.
 
-
-def _max_dev_row(counts: np.ndarray, q: int, main: float) -> tuple[int, float]:
-    worst_a, worst = 0, -1.0
-    for a in _coprime_residues(q):
-        dev = abs(float(counts[a]) - main)
-        if dev > worst:
-            worst_a, worst = a, dev
-    return worst_a, worst
+    With alt_main, each row also reports the deviation from alt_main / phi(q).
+    """
+    rows: list[QRow | None] = [None] * q_max
+    # every q <= q_max is top / 2^k for exactly one top in (q_max/2, q_max]
+    for top in range(q_max // 2 + 1, q_max + 1):
+        counts = _per_class_counts(values, top, weights)
+        q = top
+        while True:
+            coprime = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+            phi_q = coprime.size
+            cop = counts[coprime]
+            term = main / phi_q
+            dev = np.abs(cop - term)
+            i = int(np.argmax(dev))  # first maximum: the smallest worst class
+            alt_dev = alt_term = None
+            if alt_main is not None:
+                alt_term = alt_main / phi_q
+                alt_dev = float(np.abs(cop - alt_term).max())
+            rows[q - 1] = QRow(q, int(coprime[i]), float(dev[i]), term, alt_dev, alt_term)
+            if q % 2:
+                break
+            q //= 2
+            counts = counts.reshape(2, q).sum(axis=0)
+    total = math.fsum(r.max_abs_dev for r in rows)
+    return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=main)
 
 
 def _target_values(cfg: DiscrepancyConfig, table: FactorTable) -> np.ndarray:
@@ -89,7 +115,8 @@ def _target_values(cfg: DiscrepancyConfig, table: FactorTable) -> np.ndarray:
         upto = cfg.N - table.lo + 1
         return table.lo + np.flatnonzero(table.omega[:upto] == 1)
     spec = cfg.spec
-    assert spec is not None
+    if spec is None:
+        raise ValueError("star-set target needs a StarSetSpec")
     mask = balanced.star_mask(spec, table)
     return spec.N + np.flatnonzero(mask)
 
@@ -98,16 +125,7 @@ def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> Discrepa
     """Worst-class prime-count deviation from Li(N)/phi(q), summed over q."""
     if cfg.target != PRIMES_LE_N:
         raise ValueError("config target must be primes_le_N")
-    primes = _target_values(cfg, table)
-    li_n = log_integral(cfg.N)
-    rows = []
-    for q in range(1, cfg.q_max + 1):
-        counts = _per_class_counts(primes, q)
-        main = li_n / euler_phi_int(q)
-        worst_a, dev = _max_dev_row(counts, q, main)
-        rows.append(QRow(q=q, worst_a=worst_a, max_abs_dev=dev, main_term=main))
-    total = math.fsum(r.max_abs_dev for r in rows)
-    return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=li_n)
+    return _discrepancy(_target_values(cfg, table), None, cfg.q_max, log_integral(cfg.N))
 
 
 def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:
@@ -123,26 +141,7 @@ def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> Discrepan
     c0v = density.c0(spec.r, spec.eps).value
     li_n = log_integral(spec.N)
     li_window = log_integral(2 * spec.N) - li_n
-    rows = []
-    for q in range(1, cfg.q_max + 1):
-        counts = _per_class_counts(members, q)
-        phi_q = euler_phi_int(q)
-        main = c0v * li_n / phi_q
-        alt_main = c0v * li_window / phi_q
-        worst_a, dev = _max_dev_row(counts, q, main)
-        _, alt_dev = _max_dev_row(counts, q, alt_main)
-        rows.append(
-            QRow(
-                q=q,
-                worst_a=worst_a,
-                max_abs_dev=dev,
-                main_term=main,
-                alt_max_abs_dev=alt_dev,
-                alt_main_term=alt_main,
-            )
-        )
-    total = math.fsum(r.max_abs_dev for r in rows)
-    return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=c0v * li_n)
+    return _discrepancy(members, None, cfg.q_max, c0v * li_n, c0v * li_window)
 
 
 def weighted_discrepancy(
@@ -167,30 +166,17 @@ def weighted_discrepancy(
         raise ValueError(f"need f values for m = 1..{m_max}, got {f.size}")
     if not np.all(np.isfinite(f[:m_max])) or np.abs(f[:m_max]).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("f must be finite with |f(m)| <= 1")
-    primes = _target_values(
-        DiscrepancyConfig(N=N, q_max=cfg.q_max, target=PRIMES_LE_N), table
-    )
-    li_n = log_integral(N)
-    rows = []
-    for q in range(1, cfg.q_max + 1):
-        phi_q = euler_phi_int(q)
-        acc = np.zeros(q, dtype=np.float64)  # acc[a] = sum_m f(m) * count_m(a)
-        base = 0.0  # sum_m f(m) * Li(N/m)/phi(q)
-        idx = np.arange(q)
-        for m in range(1, m_max + 1):
-            fm = float(f[m - 1])
-            base += fm * log_integral(max(N / m, 2.0)) / phi_q
-            if fm == 0.0 or math.gcd(m, q) > 1:
-                continue
-            cut = np.searchsorted(primes, N // m, side="right")
-            cm = _per_class_counts(primes[:cut], q)
-            inv = pow(m, -1, q) if q > 1 else 0
-            acc += fm * cm[(idx * inv) % q]
-        worst_a, worst = 0, -1.0
-        for a in _coprime_residues(q):
-            dev = abs(acc[a] - base)
-            if dev > worst:
-                worst_a, worst = a, dev
-        rows.append(QRow(q=q, worst_a=worst_a, max_abs_dev=worst, main_term=base))
-    total = math.fsum(r.max_abs_dev for r in rows)
-    return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=li_n)
+    primes = _target_values(DiscrepancyConfig(N=N, q_max=cfg.q_max), table)
+    # g(n) = sum_{n = m p} f(m); a product m p with gcd(m, q) > 1 falls in a
+    # class that is not coprime to q, so it drops out of every row maximum
+    g = np.zeros(N + 1)
+    main_terms = []
+    for m, fm in enumerate(f[:m_max].tolist(), start=1):
+        main_terms.append(fm * log_integral(max(N / m, 2.0)))
+        if fm:
+            g[m * primes[: np.searchsorted(primes, N // m, side="right")]] += fm
+    support = np.flatnonzero(g).astype(np.int32 if N < 2**31 else np.int64)
+    g_vals = g[support]
+    del g  # keep only the support of g through the per-q passes
+    rep = _discrepancy(support, g_vals, cfg.q_max, math.fsum(main_terms))
+    return replace(rep, main_term_used=log_integral(N))

@@ -236,24 +236,6 @@ def euler_phi(f: Factorization) -> int:
     return out
 
 
-def euler_phi_int(n: int) -> int:
-    """Totient of a plain integer by trial division (for small moduli)."""
-    if n < 1:
-        raise ValueError(f"phi needs n >= 1, got {n}")
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 def log_integral(x: float) -> float:
     """Offset logarithmic integral Li(x), the integral of dt/ln t from 2 to x.
 

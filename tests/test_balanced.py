@@ -191,3 +191,18 @@ def test_ptilde_mask_partition(table_win_1e4):
     primes = t.omega[0:N] == 1
     assert np.array_equal(pm, primes | sm)
     assert not (primes & sm).any()  # primes have omega 1, star members omega r
+
+
+def test_scalar_predicates_match_masks(table_win_1e4):
+    # the per-integer predicates and the window masks agree on every n of [N, 2N)
+    N = 10**4
+    t = table_win_1e4
+    fs = [factorize(t, n) for n in range(N, 2 * N)]
+    for r in (1, 2, 3):
+        for eps in (0.1, 0.3, 0.5):
+            spec = StarSetSpec(N=N, r=r, eps=eps)
+            assert [in_star_set(f, spec) for f in fs] == star_mask(spec, t).tolist()
+            assert [in_ptilde(f, spec) for f in fs] == balanced.ptilde_mask(spec, t).tolist()
+        for eps in (0.0, 0.2, 0.4):
+            scalar = [f.omega_big == r and is_eps_balanced(f, eps) for f in fs]
+            assert scalar == balanced_mask(N, r, eps, t).tolist()

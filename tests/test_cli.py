@@ -143,7 +143,7 @@ def test_byte_identical_reproduction(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     man = json.loads(text.split("\n")[0].removeprefix("# manifest: "))
-    assert man["parameters"] == {"n_window": 1000, "q_max": 5, "threads": 1}
+    assert man["parameters"] == {"n_window": 1000, "q_max": 5}
 
 
 def test_usage_error_exit_2(capsys):

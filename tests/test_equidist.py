@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from primegaps.balanced import StarSetSpec, count_star
+from primegaps.balanced import StarSetSpec, count_star, star_mask
+from primegaps.density import c0
 from primegaps.equidist import (
     STAR_SET_WINDOW,
     DiscrepancyConfig,
@@ -167,3 +168,49 @@ def test_weighted_hand_check_q3(table_full_1e4):
         s -= -0.5 * li(N / 3) / 2
         best = max(best, abs(s))
     assert math.isclose(rep.per_q[2].max_abs_dev, best, rel_tol=1e-10)
+
+
+def _direct_rows(values, weights, q_max, main):
+    """(q, worst_a, max_abs_dev, main_term) from a fresh bincount of values % q."""
+    rows = []
+    for q in range(1, q_max + 1):
+        counts = np.bincount(values % q, weights=weights, minlength=q)
+        coprime = [a for a in range(q) if math.gcd(a, q) == 1]
+        term = main / len(coprime)
+        devs = [abs(float(counts[a]) - term) for a in coprime]
+        rows.append((q, coprime[devs.index(max(devs))], max(devs), term))
+    return rows
+
+
+@pytest.mark.parametrize("q_max, q_weighted", [(50, 15), (1, 1), (2, 2), (17, 17)])
+def test_kernel_rows_match_direct_counts(
+    q_max, q_weighted, table_full_1e4, table_full_1e5, table_win_1e5
+):
+    # rows from a full pass and rows folded down from a multiple of q alike
+    # equal a recount without folding
+    li, N = log_integral, 10**5
+    rep = bv_prime_discrepancy(DiscrepancyConfig(N=N, q_max=q_max), table_full_1e5)
+    rows = [(r.q, r.worst_a, r.max_abs_dev, r.main_term) for r in rep.per_q]
+    assert rows == _direct_rows(np.array(primes_up_to(N)), None, q_max, li(N))
+
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    cfg = DiscrepancyConfig(N=N, q_max=q_max, target=STAR_SET_WINDOW, spec=spec)
+    rep = bv_star_discrepancy(cfg, table_win_1e5)
+    members, c0v = N + np.flatnonzero(star_mask(spec, table_win_1e5)), c0(2, 0.3).value
+    rows = [(r.q, r.worst_a, r.max_abs_dev, r.main_term) for r in rep.per_q]
+    assert rows == _direct_rows(members, None, q_max, c0v * li(N))
+    alt = _direct_rows(members, None, q_max, c0v * (li(2 * N) - li(N)))
+    assert [(r.alt_max_abs_dev, r.alt_main_term) for r in rep.per_q] == [a[2:] for a in alt]
+
+    # weighted, f(m) = cos m: class sums over the pairs (m, p) themselves
+    N, f = 10**4, np.cos(np.arange(1, 101))
+    rep = weighted_discrepancy(DiscrepancyConfig(N=N, q_max=q_weighted), 0.5, f, table_full_1e4)
+    ps = np.array(primes_up_to(N))
+    cuts = [int((ps <= N // m).sum()) for m in range(1, 101)]
+    values = np.concatenate([m * ps[:c] for m, c in enumerate(cuts, start=1)])
+    main = math.fsum(f[m - 1] * li(max(N / m, 2.0)) for m in range(1, 101))
+    want = _direct_rows(values, np.repeat(f, cuts), q_weighted, main)
+    for r, (q, a, dev, term) in zip(rep.per_q, want, strict=True):
+        assert (r.q, r.worst_a) == (q, a)
+        assert math.isclose(r.max_abs_dev, dev, rel_tol=1e-9)
+        assert math.isclose(r.main_term, term, rel_tol=1e-12)

@@ -10,7 +10,6 @@ from primegaps.sieve import (
     Factorization,
     build_factor_table,
     euler_phi,
-    euler_phi_int,
     factorize,
     log_integral,
     mobius,
@@ -174,7 +173,6 @@ def test_phi_examples_and_divisor_sum(table_full_1e6):
         phi[p::p] -= phi[p::p] // p
     for n in range(1, 10**4 + 1):
         assert euler_phi(factorize(t, n) if n > 1 else Factorization(1, ())) == phi[n]
-        assert euler_phi_int(n) == phi[n]
     acc = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, limit + 1):
         acc[d::d] += phi[d]
