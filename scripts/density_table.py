@@ -14,16 +14,14 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--r-max", type=int, default=4)
     ap.add_argument("--eps", type=float, nargs="+", default=[0.05, 0.1, 0.2, 0.3])
-    ap.add_argument("--mc-samples", type=int, default=2_000_000)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print("r,eps,value,method,abs_error_estimate,upper_bound")
+    print("r,eps,value,abs_error_estimate,upper_bound")
     for r in range(2, args.r_max + 1):
         for eps in args.eps:
-            res = c0(r, eps, mc_samples=args.mc_samples, seed=args.seed)
+            res = c0(r, eps)
             print(
-                f"{r},{eps:g},{res.value:.12g},{res.method},"
+                f"{r},{eps:g},{res.value:.12g},"
                 f"{res.abs_error_estimate:.3g},{c0_upper_bound(r, eps):.12g}"
             )
 

@@ -137,12 +137,11 @@ def cmd_count_star(args) -> None:
 
 
 def cmd_density(args) -> None:
-    res = density.c0(args.r, args.eps, mc_samples=args.mc_samples, seed=args.seed)
+    res = density.c0(args.r, args.eps)
     summary = {
         "r": res.r,
         "eps": res.eps,
         "value": res.value,
-        "method": res.method,
         "abs_error_estimate": res.abs_error_estimate,
         "upper_bound": density.c0_upper_bound(args.r, args.eps) if args.eps > 0 else 0.0,
     }
@@ -319,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="density constant C0(r, eps)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--mc-samples", type=int, default=2_000_000)
     p.set_defaults(func=cmd_density)
     _add_common(p)
 

@@ -144,9 +144,11 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega):
 def build_factor_table(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> FactorTable:
     """Build the factor table for the window [lo, hi).
 
-    Cost is O((hi - lo) log log hi + sqrt(hi)); memory beyond the output
-    arrays is bounded by the segment size.  Deterministic: rebuilding any
-    sub-window yields identical entries.
+    Cost is O((hi - lo) log log hi + sqrt(hi)).  The sieve pass works one
+    segment at a time, but the residual-cofactor pass allocates an
+    unsegmented int64 array of hi - lo entries, so peak memory beyond the
+    outputs grows with the window, not with the segment size.
+    Deterministic: rebuilding any sub-window yields identical entries.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
@@ -216,7 +218,10 @@ def factorize(table: FactorTable, n: int) -> Factorization:
             e += 1
         factors.append((p, e))
     f = Factorization(n=n, factors=tuple(factors))
-    assert f.omega_big == int(table.omega[idx])
+    if f.omega_big != int(table.omega[idx]):
+        raise ArithmeticError(
+            f"factorization of {n} has Omega={f.omega_big}, table says {int(table.omega[idx])}"
+        )
     return f
 
 

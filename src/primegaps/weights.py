@@ -263,7 +263,8 @@ def _wide_indicator(N: int, h: int, spec: balanced.StarSetSpec, table: FactorTab
         idx = np.flatnonzero(hit)
         if idx.size:
             pmins = table.p_minus[n_vals_lo - table.lo + idx]
-            assert (pmins > cfg.R).all(), "star member with a prime factor below R"
+            if not (pmins > cfg.R).all():
+                raise ArithmeticError("star member with a prime factor below R")
     return chi
 
 

@@ -86,7 +86,7 @@ def test_criterion_03_upper_bound_grid():
 
 def test_criterion_04_tail_sum():
     for eps in (0.01, 0.02, 0.05):
-        total, tail = c0_tail_sum(eps, 8, mc_samples=200_000)
+        total, tail = c0_tail_sum(eps, 8)
         assert total + tail < 3 * eps, (eps, total, tail)
     print("ACCEPTANCE 4: PASS - sum over r of c0(r, eps) + tail bound < 3 eps")
 

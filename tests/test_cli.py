@@ -4,6 +4,7 @@ import math
 import pytest
 
 from primegaps.cli import main
+from primegaps.density import c0
 
 TS = "2024-01-01T00:00:00"
 
@@ -42,17 +43,15 @@ def test_density_value_and_manifest(capsys):
     doc = run_json(capsys, "density", "--r", "2", "--eps", "0.1")
     assert math.isclose(doc["results"]["value"], 2 * math.log(1.05 / 0.95), rel_tol=1e-12)
     assert math.isclose(doc["results"]["value"], 0.2001669171, rel_tol=1e-9)
-    assert doc["results"]["method"] == "closed_form"
     assert doc["results"]["upper_bound"] > doc["results"]["value"]
 
 
-def test_density_monte_carlo_seeded(capsys):
-    a = run_json(capsys, "density", "--r", "4", "--eps", "0.2",
-                 "--mc-samples", "100000", "--seed", "5")
-    b = run_json(capsys, "density", "--r", "4", "--eps", "0.2",
-                 "--mc-samples", "100000", "--seed", "5")
+def test_density_deterministic_r4(capsys):
+    a = run_json(capsys, "density", "--r", "4", "--eps", "0.2", "--seed", "5")
+    b = run_json(capsys, "density", "--r", "4", "--eps", "0.2", "--seed", "5")
     assert a == b
     assert a["manifest"]["seed"] == 5
+    assert a["results"]["value"] == c0(4, 0.2).value
 
 
 def test_constants_reference_level(capsys):
@@ -159,6 +158,8 @@ def test_computation_error_exit_1(capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     rc = main(["classify", "--n", "1"])
+    assert rc == 1
+    rc = main(["density", "--r", "1000000", "--eps", "0.1"])
     assert rc == 1
 
 

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
+from scipy import integrate
 
-from primegaps import density
 from primegaps.density import (
     c0,
     c0_closed_form_r2,
@@ -23,9 +24,60 @@ def test_degenerate_box_is_zero():
 
 def test_r2_closed_form_value():
     res = c0(2, 0.1)
-    assert res.method == density.CLOSED_FORM
     assert math.isclose(res.value, 2 * math.log(1.05 / 0.95), rel_tol=1e-15)
     assert math.isclose(res.value, 0.2001669171, rel_tol=1e-9)
+
+
+def test_c0_matches_r2_closed_form():
+    for eps in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9):
+        assert abs(c0(2, eps).value - c0_closed_form_r2(eps)) < 1e-13
+
+
+def test_c0_matches_r3_quadrature():
+    for eps in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9):
+        assert abs(c0(3, eps).value - c0_quadrature(3, eps).value) < 1e-11
+
+
+def _c0_r4_oracle(eps):
+    """C0(4, eps) as the 1-D integral of F(t) F(1 - t), F = f * f in closed form."""
+    a1, a2 = (1 - eps / 2) / 4, (1 + eps / 2) / 4
+
+    def F(t):
+        lo, hi = max(a1, t - a2), min(a2, t - a1)
+        return (math.log(hi / (t - hi)) - math.log(lo / (t - lo))) / t
+
+    val, _ = integrate.quad(
+        lambda t: F(t) * F(1 - t), 2 * a1, 2 * a2, points=[a1 + a2], epsabs=0, epsrel=1e-13
+    )
+    return val
+
+
+def test_c0_matches_r4_one_dimensional_oracle():
+    for eps in (0.05, 0.3, 0.9):
+        assert math.isclose(c0(4, eps).value, _c0_r4_oracle(eps), rel_tol=1e-12)
+
+
+def test_c0_within_monte_carlo_bar():
+    for r in range(5, 9):
+        mc = c0_monte_carlo(r, 0.3)
+        # abs_error_estimate is already 3 standard errors
+        assert abs(c0(r, 0.3).value - mc.value) < mc.abs_error_estimate
+
+
+def test_oversized_r_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            c0(65, 0.1)
+        with pytest.raises(ValueError):
+            c0(1_000_000, 0.1)
+        with pytest.raises(ValueError):
+            c0_tail_sum(0.05, 65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert 0 < c0(64, 0.5).value <= c0_upper_bound(64, 0.5)
 
 
 def test_r2_quadrature_matches_closed_form():
@@ -61,14 +113,14 @@ def test_upper_bound_examples():
 
 
 def test_value_below_upper_bound_on_grid():
-    for r in (2, 3):
+    for r in range(2, 9):
         for i in range(1, 21):
             eps = 0.2 * i / 20
             assert c0(r, eps).value <= c0_upper_bound(r, eps)
 
 
 def test_strictly_increasing_in_eps():
-    for r in (2, 3):
+    for r in range(2, 9):
         grid = [c0(r, 0.05 * i).value for i in range(0, 11)]
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
@@ -76,19 +128,19 @@ def test_strictly_increasing_in_eps():
 def test_tail_sum_examples():
     total, tail = c0_tail_sum(0.05, 6)
     assert total + tail < 0.15
-    total, tail = c0_tail_sum(0.01, 8, mc_samples=200_000)
+    total, tail = c0_tail_sum(0.01, 8)
     assert math.isclose(total, c0(2, 0.01).value, rel_tol=2e-2)  # r = 2 dominates
     assert math.isclose(c0(2, 0.01).value, 0.0200002, abs_tol=2e-6)
     # shrinking eps drives the sum to zero
-    t1, _ = c0_tail_sum(0.05, 4, mc_samples=100_000)
-    t2, _ = c0_tail_sum(0.01, 4, mc_samples=100_000)
+    t1, _ = c0_tail_sum(0.05, 4)
+    t2, _ = c0_tail_sum(0.01, 4)
     assert t2 < t1
 
 
 def test_tail_bound_dominates_true_tail():
     # the analytic tail bound must exceed the next explicit terms
     eps, r_max = 0.05, 4
-    _, tail = c0_tail_sum(eps, r_max, mc_samples=100_000)
+    _, tail = c0_tail_sum(eps, r_max)
     explicit = sum(c0_upper_bound(r, eps) for r in range(r_max + 1, r_max + 6))
     assert tail >= explicit
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -195,3 +196,11 @@ def test_factorization_validates_itself():
         Factorization(12, ((3, 1), (2, 2)))  # out of order
     with pytest.raises(ValueError):
         Factorization(12, ((2, 1), (3, 1)))  # wrong product
+
+
+def test_factorize_rejects_tampered_table(table_full_1e4):
+    t = table_full_1e4
+    tampered = t.omega.copy()
+    tampered[60 - t.lo] += 1
+    with pytest.raises(ArithmeticError):
+        factorize(dataclasses.replace(t, omega=tampered), 60)

@@ -212,6 +212,21 @@ def test_lemma3_limits(moment_setup):
         moment_lemma3(N, cfg, 2, StarSetSpec(N=2 * N, r=2, eps=0.3), t)
 
 
+def test_wide_indicator_rejects_star_member_below_R(moment_setup, monkeypatch):
+    N, cfg, t = moment_setup
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    star_mask = weights.balanced.star_mask
+
+    def with_even_member(spec, table):
+        mask = star_mask(spec, table).copy()
+        mask[0] = True  # N = 10**4 has the prime factor 2 < R
+        return mask
+
+    monkeypatch.setattr(weights.balanced, "star_mask", with_even_member)
+    with pytest.raises(ArithmeticError):
+        moment_lemma3(N, cfg, 0, spec, t)
+
+
 def test_s_statistic_structure(moment_setup):
     N, cfg, t = moment_setup
     spec = StarSetSpec(N=N, r=2, eps=0.3)
