@@ -104,6 +104,12 @@ def _load_tuple(args) -> tuples.AdmissibleTuple:
     raise ValueError("provide --tuple-file or --k")
 
 
+def _star_spec(args) -> balanced.StarSetSpec:
+    """The star-set spec of the arguments, its r range-checked before any table is built."""
+    density.check_args(args.r, args.eps)
+    return balanced.StarSetSpec(N=args.n_window, r=args.r, eps=args.eps)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -122,7 +128,7 @@ def cmd_classify(args) -> None:
 
 def cmd_count_star(args) -> None:
     N = args.n_window
-    spec = balanced.StarSetSpec(N=N, r=args.r, eps=args.eps)
+    spec = _star_spec(args)
     table = build_factor_table(N, 2 * N)
     count, predicted = balanced.count_star(spec, table)
     summary = {
@@ -216,13 +222,13 @@ def cmd_moments(args) -> None:
     H = _load_tuple(args)
     cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
     N = args.n_window
+    spec = _star_spec(args) if args.variant == "lemma3" else None
     table = build_factor_table(N, 2 * N + max(H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
     elif args.variant == "lemma2":
         rep = weights.moment_lemma2(N, cfg, args.h, table)
     else:
-        spec = balanced.StarSetSpec(N=N, r=args.r, eps=args.eps)
         rep = weights.moment_lemma3(N, cfg, args.h, spec, table)
     _emit(args, _manifest(args), [], _moment_summary(rep))
 
@@ -231,7 +237,7 @@ def cmd_s_stat(args) -> None:
     H = _load_tuple(args)
     cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
     N = args.n_window
-    spec = balanced.StarSetSpec(N=N, r=args.r, eps=args.eps)
+    spec = _star_spec(args)
     table = build_factor_table(N, 2 * N + max(H.offsets) + 1)
     rep = weights.s_statistic(N, cfg, spec, table)
     _emit(args, _manifest(args), [], _moment_summary(rep))
@@ -259,7 +265,7 @@ def cmd_bv(args) -> None:
 
 def cmd_bv_star(args) -> None:
     N = args.n_window
-    spec = balanced.StarSetSpec(N=N, r=args.r, eps=args.eps)
+    spec = _star_spec(args)
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max, target=equidist.STAR_SET_WINDOW, spec=spec)
     table = build_factor_table(N, 2 * N)
     rep = equidist.bv_star_discrepancy(cfg, table)

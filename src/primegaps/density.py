@@ -27,13 +27,21 @@ _MC_CHUNK = 1 << 19
 
 @dataclass(frozen=True)
 class DensityResult:
+    """C0(r, eps) and an error figure.
+
+    For `c0`, abs_error_estimate is the Richardson correction |fine - coarse|/8:
+    the error of the fine grid alone, 5-6 orders above that of the returned
+    value (1.3e-10 at r = 2, eps = 0.3, where the value is within 1e-16).
+    """
+
     r: int
     eps: float
     value: float
     abs_error_estimate: float
 
 
-def _check_args(r: int, eps: float) -> None:
+def check_args(r: int, eps: float) -> None:
+    """Raise ValueError unless 2 <= r <= R_MAX and 0 <= eps < 1."""
     if not 2 <= r <= R_MAX:
         raise ValueError(f"density constant needs 2 <= r <= {R_MAX}, got r={r}")
     if not 0.0 <= eps < 1.0:
@@ -51,7 +59,7 @@ def c0_closed_form_r2(eps: float) -> float:
 
 def c0_quadrature(r: int, eps: float) -> DensityResult:
     """C0 by adaptive quadrature; supported for r = 2 and r = 3."""
-    _check_args(r, eps)
+    check_args(r, eps)
     if eps == 0.0:
         return DensityResult(r, eps, 0.0, 0.0)
     a1, a2 = _bounds(r, eps)
@@ -88,7 +96,7 @@ def c0_monte_carlo(r: int, eps: float, samples: int = 2_000_000, seed: int = 0) 
     Sampling is chunked in a fixed order with one PCG64 stream, so the
     result is deterministic for a given (samples, seed).
     """
-    _check_args(r, eps)
+    check_args(r, eps)
     if eps == 0.0:
         return DensityResult(r, eps, 0.0, 0.0)
     a1, a2 = _bounds(r, eps)
@@ -127,7 +135,7 @@ def _midpoint_self_convolution(r: int, a1: float, a2: float, m: int) -> float:
 
 def c0(r: int, eps: float, *, seed: int | None = None) -> DensityResult:
     """C0(r, eps) = f^{*r}(1) by FFT; deterministic, so `seed` is accepted and ignored."""
-    _check_args(r, eps)
+    check_args(r, eps)
     if eps == 0.0:
         return DensityResult(r, eps, 0.0, 0.0)
     a1, a2 = _bounds(r, eps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expi
 
-DEFAULT_SEGMENT = 1 << 22
+SEGMENT = 1 << 22  # integers per sieve segment
 
 _LI_OFFSET = expi(math.log(2.0))  # li(2), subtracted so Li(2) = 0
 
@@ -114,16 +114,10 @@ class FactorTable:
             raise ValueError(f"n={n} outside table window [{self.lo}, {self.hi})")
         return n - self.lo
 
-    def is_prime(self, n: int) -> bool:
-        return int(self.omega[self.index(n)]) == 1
 
-    def prime_mask(self) -> np.ndarray:
-        """Boolean primality mask aligned with the window offsets."""
-        return self.omega == 1
-
-
-def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega):
-    """Fill factor stats for [lo, hi) in place using slice arithmetic."""
+def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
+    """Fill factor stats for [lo, hi) in place in one walk over the prime powers."""
+    rem = np.arange(lo, hi, dtype=np.int64)
     for p in (int(p) for p in primes):
         q = p
         first = True
@@ -133,21 +127,29 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega):
                 break
             s = start - lo
             omega[s::q] += 1
+            rem[s::q] //= p
             if first:
                 pmax[s::q] = p
                 sub = pmin[s::q]
                 sub[sub == 0] = p
             q *= p
             first = False
+    # Residual cofactors: after removing all prime factors <= sqrt(hi),
+    # what remains is either 1 or a single prime > sqrt(hi).  A zero pmin
+    # means no prime <= sqrt(hi) divides n, so n = rem is itself prime.
+    left = rem > 1
+    omega += left
+    np.copyto(pmax, rem, where=left)
+    np.copyto(pmin, rem, where=pmin == 0)
 
 
-def build_factor_table(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> FactorTable:
+def build_factor_table(lo: int, hi: int) -> FactorTable:
     """Build the factor table for the window [lo, hi).
 
-    Cost is O((hi - lo) log log hi + sqrt(hi)).  The sieve pass works one
-    segment at a time, but the residual-cofactor pass allocates an
-    unsegmented int64 array of hi - lo entries, so peak memory beyond the
-    outputs grows with the window, not with the segment size.
+    Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 18 bytes
+    per integer (int64 p_minus and p_plus, int16 omega); the pass works one
+    SEGMENT-sized segment at a time, so its scratch memory is bounded by
+    the segment, not by the window.
     Deterministic: rebuilding any sub-window yields identical entries.
     """
     if lo < 2:
@@ -159,29 +161,10 @@ def build_factor_table(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) ->
     pmin = np.zeros(size, dtype=np.int64)
     pmax = np.zeros(size, dtype=np.int64)
     omega = np.zeros(size, dtype=np.int16)
-
-    for seg_lo in range(lo, hi, segment_size):
-        seg_hi = min(seg_lo + segment_size, hi)
+    for seg_lo in range(lo, hi, SEGMENT):
+        seg_hi = min(seg_lo + SEGMENT, hi)
         a, b = seg_lo - lo, seg_hi - lo
         _sieve_segment(seg_lo, seg_hi, primes, pmin[a:b], pmax[a:b], omega[a:b])
-
-    # Residual cofactors: after removing all prime factors <= sqrt(hi),
-    # what remains is either 1 or a single prime > sqrt(hi).
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in (int(p) for p in primes):
-        q = p
-        while q < hi:
-            start = ((lo + q - 1) // q) * q
-            if start >= hi:
-                break
-            rem[start - lo :: q] //= p
-            q *= p
-    left = rem > 1
-    omega[left] += 1
-    pmax[left] = rem[left]
-    fresh = left & (pmin == 0)
-    pmin[fresh] = rem[fresh]
-
     for arr in (pmin, pmax, omega, primes):
         arr.flags.writeable = False
     return FactorTable(lo=lo, hi=hi, p_minus=pmin, p_plus=pmax, omega=omega, primes=primes)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import balanced, density
 from .sieve import FactorTable, factorize
-from .tuples import AdmissibleTuple, singular_series
+from .tuples import AdmissibleTuple, positivity_factor, singular_series
 
 #: Cap on enumerated squarefree moduli in the batch route.
 MAX_DIVISORS = 5_000_000
@@ -189,14 +189,40 @@ def _weights_window(N: int, cfg: WeightConfig, table: FactorTable) -> np.ndarray
     return lambda_r_batch(N, 2 * N, cfg, table)
 
 
+def _check_shift(cfg: WeightConfig, h: int) -> None:
+    if h not in cfg.H.offsets:
+        raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
+
+
+def _lemma1_main(N: int, cfg: WeightConfig, s_h: float) -> float:
+    """binom(2l, l) N (ln R)^(k+2l) S(H) / (k+2l)!."""
+    k, l = cfg.k, cfg.l
+    return comb(2 * l, l) * N * math.log(cfg.R) ** (k + 2 * l) * s_h / factorial(k + 2 * l)
+
+
+def _lemma2_main(N: int, cfg: WeightConfig, s_h: float, uplift: float = 1.0) -> float:
+    """binom(2l+2, l+1) N (ln R)^(k+2l+1) S(H) uplift / ((k+2l+1)! ln N).
+
+    uplift is 1 + C0 for the widened indicator; the default 1.0 is exact.
+    """
+    k, l = cfg.k, cfg.l
+    return (
+        comb(2 * l + 2, l + 1)
+        * N
+        * math.log(cfg.R) ** (k + 2 * l + 1)
+        * s_h
+        * uplift
+        / (factorial(k + 2 * l + 1) * math.log(N))
+    )
+
+
 def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
     _range_warnings(N, cfg, quarter=False)
-    k, l = cfg.k, cfg.l
     w = _weights_window(N, cfg, table)
     empirical = _chunked_fsum(w * w)
     s_h = _series_value(cfg)
-    predicted = comb(2 * l, l) * N * math.log(cfg.R) ** (k + 2 * l) * s_h / factorial(k + 2 * l)
+    predicted = _lemma1_main(N, cfg, s_h)
     ratio = empirical / predicted if predicted > 0 else math.inf
     return MomentReport(
         N=N,
@@ -217,21 +243,13 @@ def _prime_indicator(N: int, h: int, table: FactorTable) -> np.ndarray:
 
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
     """Squared weights against the prime indicator at shift h."""
-    if h not in cfg.H.offsets:
-        raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
+    _check_shift(cfg, h)
     _range_warnings(N, cfg, quarter=True)
-    k, l = cfg.k, cfg.l
     w = _weights_window(N, cfg, table)
     chi = _prime_indicator(N, h, table)
     empirical = _chunked_fsum(w * w * chi)
     s_h = _series_value(cfg)
-    predicted = (
-        comb(2 * l + 2, l + 1)
-        * N
-        * math.log(cfg.R) ** (k + 2 * l + 1)
-        * s_h
-        / (factorial(k + 2 * l + 1) * math.log(N))
-    )
+    predicted = _lemma2_main(N, cfg, s_h)
     ratio = empirical / predicted if predicted > 0 else math.inf
     return MomentReport(
         N=N,
@@ -244,55 +262,44 @@ def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> Mome
     )
 
 
-def _wide_indicator(N: int, h: int, spec: balanced.StarSetSpec, table: FactorTable, cfg: WeightConfig) -> np.ndarray:
+def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
+    """Star mask over [N, 2N), checked free of prime factors <= R when R < N^a1."""
+    if spec.r not in (2, 3):
+        raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
+    if spec.N != N:
+        raise ValueError(f"spec window base {spec.N} != N={N}")
+    smask = balanced.star_mask(spec, table)
+    pmin = table.p_minus[N - table.lo : 2 * N - table.lo]
+    if cfg.R < spec.N ** spec.a1 and not (pmin[smask] > cfg.R).all():
+        raise ArithmeticError("star member with a prime factor below R")
+    return smask
+
+
+def _wide_indicator(N: int, h: int, smask: np.ndarray, table: FactorTable) -> np.ndarray:
     """Indicator of n + h prime or a star-set member, for n in [N, 2N).
 
     The prime part carries no window restriction so that this dominates
-    the plain prime indicator pointwise; star membership is inherently
-    confined to [N, 2N).
+    the plain prime indicator pointwise; star membership (smask, over
+    [N, 2N)) is inherently confined to [N, 2N), i.e. to n < 2N - h.
     """
-    chi = _prime_indicator(N, h, table).copy()
-    smask = balanced.star_mask(spec, table)
-    # star members m = n + h require N <= m < 2N, i.e. n in [N - h, 2N - h)
-    n_vals_lo = N + h  # first n+h value
-    star_global = np.zeros(table.hi - table.lo, dtype=bool)
-    star_global[N - table.lo : 2 * N - table.lo] = smask
-    chi |= star_global[n_vals_lo - table.lo : n_vals_lo - table.lo + N]
-    if cfg.R < spec.N ** spec.a1:
-        hit = star_global[n_vals_lo - table.lo : n_vals_lo - table.lo + N]
-        idx = np.flatnonzero(hit)
-        if idx.size:
-            pmins = table.p_minus[n_vals_lo - table.lo + idx]
-            if not (pmins > cfg.R).all():
-                raise ArithmeticError("star member with a prime factor below R")
-    return chi
+    hit = np.zeros(N, dtype=bool)
+    hit[: max(N - h, 0)] = smask[h:]
+    return _prime_indicator(N, h, table) | hit
 
 
 def moment_lemma3(
     N: int, cfg: WeightConfig, h: int, spec: balanced.StarSetSpec, table: FactorTable
 ) -> MomentReport:
     """Squared weights against the widened prime-or-star indicator."""
-    if h not in cfg.H.offsets:
-        raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
-    if spec.r not in (2, 3):
-        raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
-    if spec.N != N:
-        raise ValueError(f"spec window base {spec.N} != N={N}")
+    _check_shift(cfg, h)
+    smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
-    k, l = cfg.k, cfg.l
     w = _weights_window(N, cfg, table)
-    chi = _wide_indicator(N, h, spec, table, cfg)
+    chi = _wide_indicator(N, h, smask, table)
     empirical = _chunked_fsum(w * w * chi)
     s_h = _series_value(cfg)
     c0v = density.c0(spec.r, spec.eps).value
-    predicted = (
-        comb(2 * l + 2, l + 1)
-        * N
-        * math.log(cfg.R) ** (k + 2 * l + 1)
-        * s_h
-        * (1.0 + c0v)
-        / (factorial(k + 2 * l + 1) * math.log(N))
-    )
+    predicted = _lemma2_main(N, cfg, s_h, 1.0 + c0v)
     ratio = empirical / predicted if predicted > 0 else math.inf
     return MomentReport(
         N=N,
@@ -314,23 +321,16 @@ def s_statistic(
     a positive value certifies two hits among {n + h_i} for some n in the
     window.  Also reports the number of n with at least two hits.
     """
-    if spec.r not in (2, 3):
-        raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
-    if spec.N != N:
-        raise ValueError(f"spec window base {spec.N} != N={N}")
+    smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
-    k, l = cfg.k, cfg.l
     w = _weights_window(N, cfg, table)
     hits = np.zeros(N, dtype=np.int16)
     for h in cfg.H.offsets:
-        hits += _wide_indicator(N, h, spec, table, cfg)
+        hits += _wide_indicator(N, h, smask, table)
     empirical = _chunked_fsum((hits.astype(np.float64) - 1.0) * w * w)
     s_h = _series_value(cfg)
     c0v = density.c0(spec.r, spec.eps).value
-    lemma1_main = comb(2 * l, l) * N * math.log(cfg.R) ** (k + 2 * l) * s_h / factorial(k + 2 * l)
-    from .tuples import positivity_factor
-
-    predicted = lemma1_main * positivity_factor(k, l, c0v)
+    predicted = _lemma1_main(N, cfg, s_h) * positivity_factor(cfg.k, cfg.l, c0v)
     ratio = empirical / predicted if predicted != 0 else math.inf
     return MomentReport(
         N=N,

@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from primegaps.cli import main
+from primegaps.cli import build_parser, main
 from primegaps.density import c0
 
 TS = "2024-01-01T00:00:00"
@@ -161,6 +162,22 @@ def test_computation_error_exit_1(capsys):
     assert rc == 1
     rc = main(["density", "--r", "1000000", "--eps", "0.1"])
     assert rc == 1
+    # r out of range is rejected before the 3e6-wide factor table is built;
+    # the peak is taken after parsing, since the parser alone takes ~110 KiB
+    star = ["--n-window", "3000000", "--r", "100", "--eps", "0.3"]
+    tup = ["--k", "3", "--l", "1", "--big-r", "10"]
+    for argv in (["count-star", *star], ["bv-star", "--q-max", "10", *star],
+                 ["moments", "--variant", "lemma3", *tup, *star], ["s-stat", *tup, *star]):
+        assert main(argv) == 1
+        args = build_parser().parse_args(argv)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                args.func(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, argv[0]
 
 
 def test_csv_summary_format(capsys):

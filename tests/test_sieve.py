@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps.sieve import (
+    SEGMENT,
     Factorization,
     build_factor_table,
     euler_phi,
@@ -111,6 +112,18 @@ def test_subwindow_rebuild_is_identical(table_full_1e6):
     t = table_full_1e6
     sub = build_factor_table(5000, 6000)
     a, b = 5000 - t.lo, 6000 - t.lo
+    assert np.array_equal(sub.p_minus, t.p_minus[a:b])
+    assert np.array_equal(sub.p_plus, t.p_plus[a:b])
+    assert np.array_equal(sub.omega, t.omega[a:b])
+
+
+def test_segment_boundary_rebuild_is_identical(table_win_1e7):
+    # the 1e7 window spans three segments; a misaligned per-segment
+    # residual fix-up would show up next to the first boundary
+    t = table_win_1e7
+    lo = t.lo + SEGMENT - 500
+    sub = build_factor_table(lo, lo + 1000)
+    a, b = lo - t.lo, lo - t.lo + 1000
     assert np.array_equal(sub.p_minus, t.p_minus[a:b])
     assert np.array_equal(sub.p_plus, t.p_plus[a:b])
     assert np.array_equal(sub.omega, t.omega[a:b])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from primegaps import weights
-from primegaps.balanced import StarSetSpec
+from primegaps.balanced import StarSetSpec, in_star_set, star_mask
 from primegaps.sieve import factorize
 from primegaps.tuples import AdmissibleTuple, nu_p
 from primegaps.weights import (
@@ -225,6 +225,22 @@ def test_wide_indicator_rejects_star_member_below_R(moment_setup, monkeypatch):
     monkeypatch.setattr(weights.balanced, "star_mask", with_even_member)
     with pytest.raises(ArithmeticError):
         moment_lemma3(N, cfg, 0, spec, t)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, r):
+    N, cfg, t = moment_setup
+    spec = StarSetSpec(N=N, r=r, eps=0.3)
+    smask = star_mask(spec, t)
+    hits = np.zeros(N, dtype=int)
+    for h in cfg.H.offsets:
+        got = weights._wide_indicator(N, h, smask, t)
+        fs = [factorize(t, n + h) for n in range(N, 2 * N)]
+        want = np.array([f.omega_big == 1 or in_star_set(f, spec) for f in fs])
+        assert np.array_equal(got, want), h
+        hits += want
+    rep = s_statistic(N, cfg, spec, t)
+    assert rep.extra["multi_hit_count"] == int((hits >= 2).sum())
 
 
 def test_s_statistic_structure(moment_setup):
