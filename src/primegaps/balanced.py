@@ -9,7 +9,8 @@ prime interval [N^a1, N^a2] with a1 = (1 - eps/2)/r, a2 = (1 + eps/2)/r.
 
 Boundary comparisons are done in log space with a fixed tie tolerance so
 that regression counts are floating-point deterministic; ties count as
-inside.  n = 1 is not eps-balanced for any eps.
+inside.  The window masks gather the n with Omega(n) = r first and take
+logs of P^-(n) and P^+(n) only there.  n = 1 is not eps-balanced for any eps.
 """
 
 from __future__ import annotations
@@ -122,12 +123,25 @@ def _window_slice(table: FactorTable, N: int) -> slice:
     return slice(N - table.lo, 2 * N - table.lo)
 
 
+def _omega_r_mask(table: FactorTable, N: int, r: int, predicate) -> np.ndarray:
+    """Mask over [N, 2N) of Omega(n) = r with predicate(ln P^-, ln P^+) true.
+
+    The logs are taken only at the gathered n with Omega(n) = r.
+    """
+    sl = _window_slice(table, N)
+    idx = np.flatnonzero(table.omega[sl] == r)
+    lpmin = np.log(table.p_minus[sl][idx].astype(np.float64))
+    lpmax = np.log(table.p_plus[sl][idx].astype(np.float64))
+    mask = np.zeros(N, dtype=bool)
+    mask[idx[predicate(lpmin, lpmax)]] = True
+    return mask
+
+
 def star_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
     """Boolean star-set mask over the window offsets [N, 2N) of the table."""
-    sl = _window_slice(table, spec.N)
-    lpmin = np.log(table.p_minus[sl].astype(np.float64))
-    lpmax = np.log(table.p_plus[sl].astype(np.float64))
-    return (table.omega[sl] == spec.r) & _in_interval(lpmin, lpmax, spec)
+    return _omega_r_mask(
+        table, spec.N, spec.r, lambda lpmin, lpmax: _in_interval(lpmin, lpmax, spec)
+    )
 
 
 def ptilde_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
@@ -148,10 +162,7 @@ def balanced_mask(N: int, r: int, eps: float, table: FactorTable) -> np.ndarray:
     """Mask over [N, 2N) of eps-balanced numbers with exactly r prime factors."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need eps in [0, 1), got {eps}")
-    sl = _window_slice(table, N)
-    lpmin = np.log(table.p_minus[sl].astype(np.float64))
-    lpmax = np.log(table.p_plus[sl].astype(np.float64))
-    return (table.omega[sl] == r) & _balanced(lpmin, lpmax, eps)
+    return _omega_r_mask(table, N, r, lambda lpmin, lpmax: _balanced(lpmin, lpmax, eps))
 
 
 def count_eps_r(N: int, r: int, eps: float, table: FactorTable) -> int:

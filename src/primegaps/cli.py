@@ -223,6 +223,7 @@ def cmd_moments(args) -> None:
     cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
     N = args.n_window
     spec = _star_spec(args) if args.variant == "lemma3" else None
+    weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
     table = build_factor_table(N, 2 * N + max(H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
@@ -238,6 +239,7 @@ def cmd_s_stat(args) -> None:
     cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
     N = args.n_window
     spec = _star_spec(args)
+    weights.check_moment_args(N, cfg, spec=spec)
     table = build_factor_table(N, 2 * N + max(H.offsets) + 1)
     rep = weights.s_statistic(N, cfg, spec, table)
     _emit(args, _manifest(args), [], _moment_summary(rep))

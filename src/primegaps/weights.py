@@ -33,6 +33,12 @@ from .tuples import AdmissibleTuple, positivity_factor, singular_series
 #: Cap on enumerated squarefree moduli in the batch route.
 MAX_DIVISORS = 5_000_000
 
+#: Float64 elements per cache block of the batch weight accumulation (1 MiB).
+BLOCK = 1 << 17
+
+#: Largest modulus the batch accumulation applies block by block.
+BLOCK_MAX_D = 256
+
 #: Singular-series truncation used for predicted main terms.
 SERIES_P_MAX = 1_000_000
 
@@ -136,20 +142,35 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
 
     The weight depends on n only through its residues mod the squarefree
     d <= R, so no factorizations are needed; the optional table is only
-    range-checked for interface parity with the oracle.  Moduli are
-    applied in increasing order of d for deterministic rounding.
+    range-checked for interface parity with the oracle.  Each element
+    receives its additions in increasing d, which fixes the rounding: the
+    small moduli d <= BLOCK_MAX_D, a prefix of that order, are applied one
+    BLOCK-sized stretch of the vector at a time so that it stays in cache,
+    and the larger d then add over the whole vector.
     """
     if table is not None and (lo < table.lo or hi > table.hi):
         raise ValueError(f"[{lo}, {hi}) not covered by table [{table.lo}, {table.hi})")
     k, l, R = cfg.k, cfg.l, cfg.R
     power = k + l
     norm = 1.0 / factorial(power)
-    w = np.zeros(hi - lo, dtype=np.float64)
-    for d, mu, pf in _squarefree_moduli(R):
-        val = mu * math.log(R / d) ** power * norm
+
+    def terms(d: int, mu: int, pf: tuple[int, ...]) -> tuple[float, list[int]]:
+        """The value d adds and, per residue class, the offset of its first member from lo."""
         _, classes = _residue_classes(pf, cfg.H)
-        for a in classes:
-            start = (a - lo) % d
+        return mu * math.log(R / d) ** power * norm, [(a - lo) % d for a in classes]
+
+    moduli = _squarefree_moduli(R)
+    n_small = sum(d <= BLOCK_MAX_D for d, _, _ in moduli)
+    small = [(d, *terms(d, mu, pf)) for d, mu, pf in moduli[:n_small]]
+    w = np.zeros(hi - lo, dtype=np.float64)
+    for b0 in range(0, len(w), BLOCK):
+        block = w[b0 : b0 + BLOCK]
+        for d, val, starts in small:
+            for start in starts:
+                block[(start - b0) % d :: d] += val
+    for d, mu, pf in moduli[n_small:]:
+        val, starts = terms(d, mu, pf)
+        for start in starts:
             w[start::d] += val
     return w
 
@@ -189,9 +210,20 @@ def _weights_window(N: int, cfg: WeightConfig, table: FactorTable) -> np.ndarray
     return lambda_r_batch(N, 2 * N, cfg, table)
 
 
-def _check_shift(cfg: WeightConfig, h: int) -> None:
-    if h not in cfg.H.offsets:
+def check_moment_args(
+    N: int, cfg: WeightConfig, h: int | None = None, spec: balanced.StarSetSpec | None = None
+) -> None:
+    """Reject a shift h outside the tuple and a star spec other than r in (2, 3) over base N.
+
+    Cheap, so callers can run it before building the factor table.
+    """
+    if h is not None and h not in cfg.H.offsets:
         raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
+    if spec is not None:
+        if spec.r not in (2, 3):
+            raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
+        if spec.N != N:
+            raise ValueError(f"spec window base {spec.N} != N={N}")
 
 
 def _lemma1_main(N: int, cfg: WeightConfig, s_h: float) -> float:
@@ -243,7 +275,7 @@ def _prime_indicator(N: int, h: int, table: FactorTable) -> np.ndarray:
 
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
     """Squared weights against the prime indicator at shift h."""
-    _check_shift(cfg, h)
+    check_moment_args(N, cfg, h)
     _range_warnings(N, cfg, quarter=True)
     w = _weights_window(N, cfg, table)
     chi = _prime_indicator(N, h, table)
@@ -264,10 +296,6 @@ def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> Mome
 
 def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
     """Star mask over [N, 2N), checked free of prime factors <= R when R < N^a1."""
-    if spec.r not in (2, 3):
-        raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
-    if spec.N != N:
-        raise ValueError(f"spec window base {spec.N} != N={N}")
     smask = balanced.star_mask(spec, table)
     pmin = table.p_minus[N - table.lo : 2 * N - table.lo]
     if cfg.R < spec.N ** spec.a1 and not (pmin[smask] > cfg.R).all():
@@ -291,7 +319,7 @@ def moment_lemma3(
     N: int, cfg: WeightConfig, h: int, spec: balanced.StarSetSpec, table: FactorTable
 ) -> MomentReport:
     """Squared weights against the widened prime-or-star indicator."""
-    _check_shift(cfg, h)
+    check_moment_args(N, cfg, h, spec)
     smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
     w = _weights_window(N, cfg, table)
@@ -321,6 +349,7 @@ def s_statistic(
     a positive value certifies two hits among {n + h_i} for some n in the
     window.  Also reports the number of n with at least two hits.
     """
+    check_moment_args(N, cfg, spec=spec)
     smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
     w = _weights_window(N, cfg, table)

@@ -206,3 +206,23 @@ def test_scalar_predicates_match_masks(table_win_1e4):
         for eps in (0.0, 0.2, 0.4):
             scalar = [f.omega_big == r and is_eps_balanced(f, eps) for f in fs]
             assert scalar == balanced_mask(N, r, eps, t).tolist()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 40])
+def test_window_masks_match_full_width_logs(table_win_1e7, r):
+    # reference: logs over the whole window, then Omega(n) = r; r = 40 has
+    # no members in [1e7, 2e7), so the gathered arrays are empty
+    N, t = 10**7, table_win_1e7
+    sl = slice(N - t.lo, 2 * N - t.lo)
+    is_r = t.omega[sl] == r
+    lpmin = np.log(t.p_minus[sl].astype(np.float64))
+    lpmax = np.log(t.p_plus[sl].astype(np.float64))
+    for eps in (0.05, 0.3, 0.9):
+        spec = StarSetSpec(N=N, r=r, eps=eps)
+        ref_star = is_r & balanced._in_interval(lpmin, lpmax, spec)
+        ref_bal = is_r & balanced._balanced(lpmin, lpmax, eps)
+        assert np.array_equal(star_mask(spec, t), ref_star)
+        assert np.array_equal(balanced_mask(N, r, eps, t), ref_bal)
+    if r == 40:
+        assert not ref_star.any() and not ref_bal.any()
+

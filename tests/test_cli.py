@@ -162,12 +162,17 @@ def test_computation_error_exit_1(capsys):
     assert rc == 1
     rc = main(["density", "--r", "1000000", "--eps", "0.1"])
     assert rc == 1
-    # r out of range is rejected before the 3e6-wide factor table is built;
-    # the peak is taken after parsing, since the parser alone takes ~110 KiB
+    # r out of range, and an r or shift the moment sums reject, fail before
+    # the 3e6-wide factor table is built; the peak is taken after parsing,
+    # since the parser alone takes ~110 KiB
     star = ["--n-window", "3000000", "--r", "100", "--eps", "0.3"]
+    star4 = ["--n-window", "3000000", "--r", "4", "--eps", "0.3"]
     tup = ["--k", "3", "--l", "1", "--big-r", "10"]
     for argv in (["count-star", *star], ["bv-star", "--q-max", "10", *star],
-                 ["moments", "--variant", "lemma3", *tup, *star], ["s-stat", *tup, *star]):
+                 ["moments", "--variant", "lemma3", *tup, *star], ["s-stat", *tup, *star],
+                 ["moments", "--variant", "lemma3", *tup, *star4], ["s-stat", *tup, *star4],
+                 ["moments", "--variant", "lemma2", *tup, "--n-window", "3000000", "--h", "1"],
+                 ["moments", "--variant", "lemma3", *tup, "--n-window", "3000000", "--h", "1"]):
         assert main(argv) == 1
         args = build_parser().parse_args(argv)
         tracemalloc.start()
@@ -177,7 +182,7 @@ def test_computation_error_exit_1(capsys):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 16, argv[0]
+        assert peak < 1 << 16, argv
 
 
 def test_csv_summary_format(capsys):

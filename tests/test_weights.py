@@ -7,7 +7,7 @@ import pytest
 from primegaps import weights
 from primegaps.balanced import StarSetSpec, in_star_set, star_mask
 from primegaps.sieve import factorize
-from primegaps.tuples import AdmissibleTuple, nu_p
+from primegaps.tuples import AdmissibleTuple, generate_tuple, nu_p
 from primegaps.weights import (
     WeightConfig,
     lambda_r_batch,
@@ -87,6 +87,29 @@ def test_batch_d1_baseline():
         if (n % 2 == 0) or ((n + 2) % 2 == 0):  # always true: 2 | P_H(n)
             expect += 0.0  # mu(2) * log(2/2)^3 = 0
         assert math.isclose(w[i], expect / factorial(3), rel_tol=1e-12)
+
+
+def full_length_batch(lo, hi, cfg):
+    """Reference accumulation: every (d, class) as one full-length strided add, d ascending."""
+    power = cfg.k + cfg.l
+    w = np.zeros(hi - lo, dtype=np.float64)
+    for d, mu, pf in weights._squarefree_moduli(cfg.R):
+        val = mu * math.log(cfg.R / d) ** power * (1.0 / factorial(power))
+        for a in weights._residue_classes(pf, cfg.H)[1]:
+            w[(a - lo) % d :: d] += val
+    return w
+
+
+@pytest.mark.parametrize("R", [56.0, 300.0, 1000.0])
+@pytest.mark.parametrize("k", [3, 6])
+def test_blocked_batch_is_bit_identical_to_full_length(R, k):
+    # unaligned lo, three whole blocks and a ragged tail; the moduli fall on
+    # both sides of BLOCK_MAX_D once R > BLOCK_MAX_D
+    lo = 10**6 + 12345
+    hi = lo + 3 * weights.BLOCK + 777
+    cfg = WeightConfig(H=generate_tuple(k), l=1, R=R)
+    got = lambda_r_batch(lo, hi, cfg)
+    assert got.tobytes() == full_length_batch(lo, hi, cfg).tobytes()
 
 
 def test_residue_class_counts_are_multiplicative():
