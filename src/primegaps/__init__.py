@@ -17,7 +17,6 @@ from .balanced import (
     classify,
     count_eps_r,
     count_star,
-    in_ptilde,
     in_star_set,
     is_eps_balanced,
 )

@@ -107,14 +107,6 @@ def in_star_set(f: Factorization, spec: StarSetSpec) -> bool:
     return _in_interval(math.log(f.p_minus), math.log(f.p_plus), spec)
 
 
-def in_ptilde(f: Factorization, spec: StarSetSpec) -> bool:
-    """Primes in [N, 2N) together with the star-set members."""
-    n, N = f.n, spec.N
-    if N <= n < 2 * N and f.omega_big == 1:
-        return True
-    return in_star_set(f, spec)
-
-
 def _window_slice(table: FactorTable, N: int) -> slice:
     if table.lo > N or table.hi < 2 * N:
         raise ValueError(
@@ -142,12 +134,6 @@ def star_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
     return _omega_r_mask(
         table, spec.N, spec.r, lambda lpmin, lpmax: _in_interval(lpmin, lpmax, spec)
     )
-
-
-def ptilde_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
-    """Mask over [N, 2N): window primes together with star-set members."""
-    sl = _window_slice(table, spec.N)
-    return (table.omega[sl] == 1) | star_mask(spec, table)
 
 
 def count_star(spec: StarSetSpec, table: FactorTable) -> tuple[int, float]:

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -406,11 +407,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its UserWarnings print as 'warning: <message>' lines on stderr."""
     args = build_parser().parse_args(argv)
-    try:
-        args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args.func(args)
+            error = None
+        except (ValueError, ArithmeticError, OSError) as exc:
+            error = exc
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 1
     return 0
 

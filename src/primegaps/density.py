@@ -6,9 +6,10 @@ box [a1, a2]^{r-1}, restricted by the indicator a1 <= 1 - sum a_i <= a2
 for r = 2 the restriction is automatic since a1 + a2 = 1).  That is
 f^{*r}(1) for f(a) = 1/a on [a1, a2], which `c0` evaluates for every r by
 the FFT r-th power of f sampled at cell midpoints (1 is the centre node
-for an odd cell count) and one Richardson step between two grids.  The
-closed form (r = 2), adaptive quadrature (r <= 3) and seeded Monte Carlo
-stay as independent oracles.  f is bounded on [a1, a2] for eps < 1.
+for an odd cell count) and one Richardson step between two grids.  A
+seeded Monte Carlo estimate stays as a cross-check; the r = 2 closed form
+and the r = 3 integral that `c0` is checked against live outside the
+package, in perfbench/oracles.py.  f is bounded on [a1, a2] for eps < 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.fft import next_fast_len
 
 R_MAX = 64  # no integer below 2**64 has more prime factors
@@ -50,44 +50,6 @@ def check_args(r: int, eps: float) -> None:
 
 def _bounds(r: int, eps: float) -> tuple[float, float]:
     return (1.0 - eps / 2.0) / r, (1.0 + eps / 2.0) / r
-
-
-def c0_closed_form_r2(eps: float) -> float:
-    """Antiderivative ln(a/(1-a)) evaluated at a2 and a1 (note 1 - a2 = a1)."""
-    return 2.0 * math.log((1.0 + eps / 2.0) / (1.0 - eps / 2.0))
-
-
-def c0_quadrature(r: int, eps: float) -> DensityResult:
-    """C0 by adaptive quadrature; supported for r = 2 and r = 3."""
-    check_args(r, eps)
-    if eps == 0.0:
-        return DensityResult(r, eps, 0.0, 0.0)
-    a1, a2 = _bounds(r, eps)
-    if r == 2:
-        val, err = integrate.quad(
-            lambda a: 1.0 / (a * (1.0 - a)), a1, a2, epsabs=1e-13, epsrel=1e-13
-        )
-        return DensityResult(r, eps, float(val), float(err))
-    if r == 3:
-        # alpha2 runs over [a1, a2] clipped so that 1 - alpha1 - alpha2
-        # stays inside [a1, a2] as well.
-        def gfun(x):
-            return max(a1, 1.0 - a2 - x)
-
-        def hfun(x):
-            return max(gfun(x), min(a2, 1.0 - a1 - x))
-
-        val, err = integrate.dblquad(
-            lambda y, x: 1.0 / (x * y * (1.0 - x - y)),
-            a1,
-            a2,
-            gfun,
-            hfun,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        return DensityResult(r, eps, float(val), float(err))
-    raise ValueError(f"quadrature route supports r in {{2, 3}}, got r={r}")
 
 
 def c0_monte_carlo(r: int, eps: float, samples: int = 2_000_000, seed: int = 0) -> DensityResult:

@@ -13,8 +13,8 @@ n = m * p) against a scalar main term M / phi(q).  Class totals mod q are
 the two halves of those mod 2q added, so only q in (q_max/2, q_max] takes
 a pass over the targets; each smaller q is reached by halving from one.
 
-The cutoffs that theory phrases through log powers are explicit
-parameters here; `q_max_from_log_power` is a convenience derivation only.
+The cutoffs that theory phrases through log powers, such as
+q_max = sqrt(N) / ln^C N, are explicit parameters here.
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ class DiscrepancyConfig:
             raise ValueError("star-set target needs a StarSetSpec")
         if self.target == PRIMES_LE_N and self.q_max >= self.N:
             raise ValueError(f"q_max={self.q_max} must stay below N={self.N}")
-
-
-def q_max_from_log_power(N: int, C: float) -> int:
-    """floor(sqrt(N) / ln^C N), clamped to at least 1."""
-    return max(1, int(math.sqrt(N) / math.log(N) ** C))
 
 
 @dataclass(frozen=True)

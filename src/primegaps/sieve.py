@@ -91,8 +91,7 @@ class FactorTable:
         omega: int16 array, Omega(lo + i) with multiplicity.
         primes: primes <= sqrt(hi - 1), used for out-of-window quotients.
 
-    The smallest-prime-factor view `spf` stores 0 as the "no prime factor
-    <= sqrt(hi)" marker, which for a window value means the number is prime.
+    An entry whose least prime factor exceeds sqrt(hi - 1) is a prime.
     All arrays are read-only; a table may be shared freely across threads.
     """
 
@@ -102,12 +101,6 @@ class FactorTable:
     p_plus: np.ndarray
     omega: np.ndarray
     primes: np.ndarray
-
-    @property
-    def spf(self) -> np.ndarray:
-        """Smallest prime factor, with 0 marking entries prime in the window."""
-        root = math.isqrt(self.hi - 1)
-        return np.where(self.p_minus <= root, self.p_minus, 0)
 
     def index(self, n: int) -> int:
         if not (self.lo <= n < self.hi):

@@ -220,9 +220,3 @@ def read_tuple_file(path: str | Path) -> list[AdmissibleTuple]:
             continue
         out.append(AdmissibleTuple(offsets=tuple(int(t) for t in line.split(","))))
     return out
-
-
-def write_tuple_file(path: str | Path, tuples: list[AdmissibleTuple], header: str = "") -> None:
-    lines = [f"# {line}" for line in header.splitlines()] if header else []
-    lines += [",".join(str(h) for h in t.offsets) for t in tuples]
-    Path(path).write_text("\n".join(lines) + "\n")

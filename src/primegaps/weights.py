@@ -175,10 +175,14 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     return w
 
 
-def _chunked_fsum(values: np.ndarray, chunk: int = 1 << 20) -> float:
-    """Deterministic compensated reduction: fsum over fixed-size chunk sums."""
-    parts = [float(values[i : i + chunk].sum()) for i in range(0, len(values), chunk)]
-    return math.fsum(parts)
+def _chunked_fsum(n: int, term, chunk: int = 1 << 20) -> float:
+    """Deterministic compensated reduction of term over [0, n): fsum over fixed-size chunk sums.
+
+    term(s) forms the summand array on the slice s only, so no n-sized
+    temporary is built; each chunk sum is that of the same slice of the
+    full-width expression.
+    """
+    return math.fsum(float(term(slice(i, i + chunk)).sum()) for i in range(0, n, chunk))
 
 
 def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
@@ -248,22 +252,21 @@ def _lemma2_main(N: int, cfg: WeightConfig, s_h: float, uplift: float = 1.0) -> 
     )
 
 
+def _report(N: int, cfg: WeightConfig, variant: str, empirical: float, predicted: float, **extra) -> MomentReport:
+    """The report of one moment sum; the ratio is inf when the prediction is 0."""
+    ratio = empirical / predicted if predicted != 0 else math.inf
+    return MomentReport(N, cfg, variant, empirical, predicted, ratio, extra)
+
+
 def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
     _range_warnings(N, cfg, quarter=False)
     w = _weights_window(N, cfg, table)
-    empirical = _chunked_fsum(w * w)
+    empirical = _chunked_fsum(N, lambda s: w[s] * w[s])
     s_h = _series_value(cfg)
-    predicted = _lemma1_main(N, cfg, s_h)
-    ratio = empirical / predicted if predicted > 0 else math.inf
-    return MomentReport(
-        N=N,
-        config=cfg,
-        variant=LEMMA1,
-        empirical=empirical,
-        predicted_main_term=predicted,
-        ratio=ratio,
-        extra={"singular_series": s_h, "degenerate": s_h == 0.0},
+    return _report(
+        N, cfg, LEMMA1, empirical, _lemma1_main(N, cfg, s_h),
+        singular_series=s_h, degenerate=s_h == 0.0,
     )
 
 
@@ -279,19 +282,9 @@ def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> Mome
     _range_warnings(N, cfg, quarter=True)
     w = _weights_window(N, cfg, table)
     chi = _prime_indicator(N, h, table)
-    empirical = _chunked_fsum(w * w * chi)
+    empirical = _chunked_fsum(N, lambda s: w[s] * w[s] * chi[s])
     s_h = _series_value(cfg)
-    predicted = _lemma2_main(N, cfg, s_h)
-    ratio = empirical / predicted if predicted > 0 else math.inf
-    return MomentReport(
-        N=N,
-        config=cfg,
-        variant=LEMMA2,
-        empirical=empirical,
-        predicted_main_term=predicted,
-        ratio=ratio,
-        extra={"h": h, "singular_series": s_h},
-    )
+    return _report(N, cfg, LEMMA2, empirical, _lemma2_main(N, cfg, s_h), h=h, singular_series=s_h)
 
 
 def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
@@ -324,19 +317,12 @@ def moment_lemma3(
     _range_warnings(N, cfg, quarter=True)
     w = _weights_window(N, cfg, table)
     chi = _wide_indicator(N, h, smask, table)
-    empirical = _chunked_fsum(w * w * chi)
+    empirical = _chunked_fsum(N, lambda s: w[s] * w[s] * chi[s])
     s_h = _series_value(cfg)
     c0v = density.c0(spec.r, spec.eps).value
-    predicted = _lemma2_main(N, cfg, s_h, 1.0 + c0v)
-    ratio = empirical / predicted if predicted > 0 else math.inf
-    return MomentReport(
-        N=N,
-        config=cfg,
-        variant=LEMMA3,
-        empirical=empirical,
-        predicted_main_term=predicted,
-        ratio=ratio,
-        extra={"h": h, "r": spec.r, "eps": spec.eps, "c0": c0v, "singular_series": s_h},
+    return _report(
+        N, cfg, LEMMA3, empirical, _lemma2_main(N, cfg, s_h, 1.0 + c0v),
+        h=h, r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
     )
 
 
@@ -356,23 +342,12 @@ def s_statistic(
     hits = np.zeros(N, dtype=np.int16)
     for h in cfg.H.offsets:
         hits += _wide_indicator(N, h, smask, table)
-    empirical = _chunked_fsum((hits.astype(np.float64) - 1.0) * w * w)
+    empirical = _chunked_fsum(N, lambda s: (hits[s].astype(np.float64) - 1.0) * w[s] * w[s])
     s_h = _series_value(cfg)
     c0v = density.c0(spec.r, spec.eps).value
-    predicted = _lemma1_main(N, cfg, s_h) * positivity_factor(cfg.k, cfg.l, c0v)
-    ratio = empirical / predicted if predicted != 0 else math.inf
-    return MomentReport(
-        N=N,
-        config=cfg,
-        variant=S_STATISTIC,
-        empirical=empirical,
-        predicted_main_term=predicted,
-        ratio=ratio,
-        extra={
-            "r": spec.r,
-            "eps": spec.eps,
-            "c0": c0v,
-            "singular_series": s_h,
-            "multi_hit_count": int((hits >= 2).sum()),
-        },
+    return _report(
+        N, cfg, S_STATISTIC, empirical,
+        _lemma1_main(N, cfg, s_h) * positivity_factor(cfg.k, cfg.l, c0v),
+        r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
+        multi_hit_count=int((hits >= 2).sum()),
     )

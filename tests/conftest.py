@@ -1,6 +1,12 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from primegaps.sieve import build_factor_table
+
+# the package-independent reference values shared with the benchmark
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 @pytest.fixture(scope="session")

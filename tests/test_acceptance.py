@@ -15,7 +15,7 @@ import pytest
 
 from primegaps.balanced import StarSetSpec, count_star, is_eps_balanced, star_mask
 from primegaps.cli import main as cli_main
-from primegaps.density import c0, c0_quadrature, c0_tail_sum, c0_upper_bound
+from primegaps.density import c0, c0_tail_sum, c0_upper_bound
 from primegaps.equidist import (
     STAR_SET_WINDOW,
     DiscrepancyConfig,
@@ -69,8 +69,8 @@ def test_criterion_01_zero_balanced_iff_prime_power(table_full_1e6):
 def test_criterion_02_r2_closed_form():
     for eps in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5):
         closed = 2 * math.log((1 + eps / 2) / (1 - eps / 2))
-        assert math.isclose(c0_quadrature(2, eps).value, closed, rel_tol=1e-10)
-    print("ACCEPTANCE 2: PASS - quadrature matches the r=2 closed form to 1e-10")
+        assert math.isclose(c0(2, eps).value, closed, rel_tol=1e-10)
+    print("ACCEPTANCE 2: PASS - c0 matches the r=2 closed form to 1e-10")
 
 
 def test_criterion_03_upper_bound_grid():

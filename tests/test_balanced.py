@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import balanced
+from primegaps import balanced, weights
 from primegaps.balanced import (
     StarSetSpec,
     balanced_mask,
     classify,
     count_eps_r,
     count_star,
-    in_ptilde,
     in_star_set,
     is_eps_balanced,
     star_mask,
@@ -101,15 +100,6 @@ def test_star_membership_r2(table_win_1e4):
     assert not in_star_set(f_big, spec)
 
 
-def test_in_ptilde(table_win_1e4):
-    N = 10**4
-    spec = StarSetSpec(N=N, r=2, eps=0.3)
-    t = table_win_1e4
-    assert in_ptilde(factorize(t, 10007), spec)  # window prime
-    assert in_ptilde(factorize(t, 101 * 103), spec)  # star member
-    assert not in_ptilde(factorize(t, 2 * 7919), spec)
-
-
 def test_count_star_brute_force_1e3():
     N = 10**3
     spec = StarSetSpec(N=N, r=2, eps=0.3)
@@ -183,11 +173,13 @@ def test_inclusion_in_widened_star_set(table_win_1e5):
 
 
 def test_ptilde_mask_partition(table_win_1e4):
+    # the window primes together with the star set: the widened moment
+    # indicator at shift 0
     N = 10**4
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     t = table_win_1e4
-    pm = balanced.ptilde_mask(spec, t)
     sm = star_mask(spec, t)
+    pm = weights._wide_indicator(N, 0, sm, t)
     primes = t.omega[0:N] == 1
     assert np.array_equal(pm, primes | sm)
     assert not (primes & sm).any()  # primes have omega 1, star members omega r
@@ -202,7 +194,6 @@ def test_scalar_predicates_match_masks(table_win_1e4):
         for eps in (0.1, 0.3, 0.5):
             spec = StarSetSpec(N=N, r=r, eps=eps)
             assert [in_star_set(f, spec) for f in fs] == star_mask(spec, t).tolist()
-            assert [in_ptilde(f, spec) for f in fs] == balanced.ptilde_mask(spec, t).tolist()
         for eps in (0.0, 0.2, 0.4):
             scalar = [f.omega_big == r and is_eps_balanced(f, eps) for f in fs]
             assert scalar == balanced_mask(N, r, eps, t).tolist()

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -116,6 +118,26 @@ def test_moments_lemma3_and_s_stat(capsys):
     doc = run_json(capsys, "s-stat", "--n-window", "1000", "--k", "3", "--l", "1",
                    "--big-r", "5.6", "--r", "2", "--eps", "0.3")
     assert "multi_hit_count" in doc["results"]
+
+
+def test_warnings_print_without_source_path(capsys):
+    # R = 20 lies above N^(1/4) = 5.6 for the lemma3 and S sums at N = 1000
+    tup = ["--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "20", "--timestamp", TS]
+    want = ("warning: R=20.0 exceeds the stated range (~N^1/4); "
+            "the asymptotic main term may not apply\n")
+    for argv in (["moments", "--variant", "lemma3", *tup], ["s-stat", *tup]):
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == want
+        assert "cli.py" not in err
+
+
+def test_cli_import_loads_no_quadrature_or_optimizer():
+    # a fresh interpreter, since this one may have imported scipy already
+    code = ("import sys, primegaps.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_bv_rows(capsys):

@@ -4,14 +4,8 @@ import tracemalloc
 import pytest
 from scipy import integrate
 
-from primegaps.density import (
-    c0,
-    c0_closed_form_r2,
-    c0_monte_carlo,
-    c0_quadrature,
-    c0_tail_sum,
-    c0_upper_bound,
-)
+from oracles import c0_r2, c0_r3  # perfbench/oracles.py, on the path via conftest.py
+from primegaps.density import c0, c0_monte_carlo, c0_tail_sum, c0_upper_bound
 
 # pinned by adaptive quadrature, cross-checked by Monte Carlo below
 C0_3_01 = 0.0225234703676394
@@ -30,12 +24,12 @@ def test_r2_closed_form_value():
 
 def test_c0_matches_r2_closed_form():
     for eps in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9):
-        assert abs(c0(2, eps).value - c0_closed_form_r2(eps)) < 1e-13
+        assert abs(c0(2, eps).value - c0_r2(eps)) < 1e-13
 
 
 def test_c0_matches_r3_quadrature():
     for eps in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9):
-        assert abs(c0(3, eps).value - c0_quadrature(3, eps).value) < 1e-11
+        assert abs(c0(3, eps).value - c0_r3(eps)) < 1e-11
 
 
 def _c0_r4_oracle(eps):
@@ -80,19 +74,12 @@ def test_oversized_r_fails_before_allocating():
     assert 0 < c0(64, 0.5).value <= c0_upper_bound(64, 0.5)
 
 
-def test_r2_quadrature_matches_closed_form():
-    for eps in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5):
-        quad = c0_quadrature(2, eps).value
-        closed = c0_closed_form_r2(eps)
-        assert math.isclose(quad, closed, rel_tol=1e-10)
-
-
 def test_r3_quadrature_pinned_and_mc_crosscheck():
-    res = c0_quadrature(3, 0.1)
-    assert math.isclose(res.value, C0_3_01, rel_tol=1e-9)
+    quad = c0_r3(0.1)
+    assert math.isclose(quad, C0_3_01, rel_tol=1e-9)
     mc = c0_monte_carlo(3, 0.1, samples=2_000_000, seed=1)
     # abs_error_estimate is already 3 standard errors
-    assert abs(mc.value - res.value) < 1.5 * mc.abs_error_estimate
+    assert abs(mc.value - quad) < 1.5 * mc.abs_error_estimate
 
 
 def test_invalid_args():

@@ -10,7 +10,6 @@ from primegaps.equidist import (
     DiscrepancyConfig,
     bv_prime_discrepancy,
     bv_star_discrepancy,
-    q_max_from_log_power,
     weighted_discrepancy,
 )
 from primegaps.sieve import build_factor_table, log_integral, primes_up_to
@@ -30,11 +29,6 @@ def test_config_validation():
         DiscrepancyConfig(N=100, q_max=10, target=STAR_SET_WINDOW)
     with pytest.raises(ValueError):
         DiscrepancyConfig(N=100, q_max=100)
-
-
-def test_q_max_from_log_power():
-    assert q_max_from_log_power(10**8, 2.0) == int(10**4 / math.log(10**8) ** 2)
-    assert q_max_from_log_power(10, 10.0) == 1  # clamped
 
 
 def test_prime_rows_small_moduli(table_full_1e5):
@@ -80,10 +74,10 @@ def test_prime_total_monotone_in_q_max(table_full_1e5):
 
 
 def test_prime_scale_sanity(table_full_1e4, table_full_1e6):
-    # with the q_max clamp from the log-power rule, the total stays far
-    # below the trivial bound q_max * pi(N)
+    # with q_max = sqrt(N) / ln^3 N clamped to at least 1 (it is below 1
+    # at both N), the total stays far below the trivial bound q_max * pi(N)
     for N, t in ((10**4, table_full_1e4), (10**6, table_full_1e6)):
-        qm = q_max_from_log_power(N, 3.0)
+        qm = max(1, int(math.sqrt(N) / math.log(N) ** 3))
         rep = bv_prime_discrepancy(DiscrepancyConfig(N=N, q_max=qm), t)
         pi_n = int((t.omega[: N - t.lo + 1] == 1).sum())
         assert rep.total < 0.05 * qm * pi_n

@@ -130,12 +130,12 @@ def test_segment_boundary_rebuild_is_identical(table_win_1e7):
 
 
 def test_spf_marker_means_window_prime(table_full_1e6):
+    # a least prime factor above sqrt(hi - 1) marks a prime; p_minus
+    # dividing n is checked by test_window_stats_consistent_exhaustive
     t = table_full_1e6
-    spf = t.spf
-    n = np.arange(t.lo, t.hi, dtype=np.int64)
-    marked = spf == 0
+    marked = t.p_minus > math.isqrt(t.hi - 1)
+    assert marked.any()
     assert (t.omega[marked] == 1).all()
-    assert ((spf[~marked] > 0) & (n[~marked] % spf[~marked] == 0)).all()
 
 
 @settings(deadline=None, max_examples=200)
