@@ -9,8 +9,9 @@ prime interval [N^a1, N^a2] with a1 = (1 - eps/2)/r, a2 = (1 + eps/2)/r.
 
 Boundary comparisons are done in log space with a fixed tie tolerance so
 that regression counts are floating-point deterministic; ties count as
-inside.  The window masks gather the n with Omega(n) = r first and take
-logs of P^-(n) and P^+(n) only there.  n = 1 is not eps-balanced for any eps.
+inside.  The window masks scan [N, 2N) one sieve.CHUNK at a time: each
+chunk gathers the n with Omega(n) = r and takes logs of P^-(n) and P^+(n)
+only there.  n = 1 is not eps-balanced for any eps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import density
+from . import density, sieve
 from .sieve import FactorTable, Factorization
 
 #: Tie tolerance for log-space boundary comparisons; ties count as inside.
@@ -107,25 +108,20 @@ def in_star_set(f: Factorization, spec: StarSetSpec) -> bool:
     return _in_interval(math.log(f.p_minus), math.log(f.p_plus), spec)
 
 
-def _window_slice(table: FactorTable, N: int) -> slice:
-    if table.lo > N or table.hi < 2 * N:
-        raise ValueError(
-            f"table [{table.lo}, {table.hi}) does not cover window [{N}, {2 * N})"
-        )
-    return slice(N - table.lo, 2 * N - table.lo)
-
-
 def _omega_r_mask(table: FactorTable, N: int, r: int, predicate) -> np.ndarray:
     """Mask over [N, 2N) of Omega(n) = r with predicate(ln P^-, ln P^+) true.
 
-    The logs are taken only at the gathered n with Omega(n) = r.
+    Scanned one sieve.CHUNK at a time; logs are taken only at Omega(n) = r.
     """
-    sl = _window_slice(table, N)
-    idx = np.flatnonzero(table.omega[sl] == r)
-    lpmin = np.log(table.p_minus[sl][idx].astype(np.float64))
-    lpmax = np.log(table.p_plus[sl][idx].astype(np.float64))
+    if table.lo > N or table.hi < 2 * N:
+        raise ValueError(f"table [{table.lo}, {table.hi}) does not cover window [{N}, {2 * N})")
     mask = np.zeros(N, dtype=bool)
-    mask[idx[predicate(lpmin, lpmax)]] = True
+    for a in range(0, N, sieve.CHUNK):
+        sl = slice(N - table.lo + a, N - table.lo + min(a + sieve.CHUNK, N))
+        idx = np.flatnonzero(table.omega[sl] == r)
+        lpmin = np.log(table.p_minus[sl][idx].astype(np.float64))
+        lpmax = np.log(table.p_plus[sl][idx].astype(np.float64))
+        mask[a + idx[predicate(lpmin, lpmax)]] = True
     return mask
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,8 +310,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="primegaps")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+    # no prefix matching of long options: s-stat has no --h, and --h must not read as --help
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    ap = exact(prog="primegaps")
+    sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=exact)
 
     p = sub.add_parser("classify", help="balance threshold of one integer")
     p.add_argument("--n", type=int, required=True)

@@ -5,7 +5,8 @@ stores, for every integer in [lo, hi), its least prime factor, greatest
 prime factor and number of prime factors counted with multiplicity, built
 by a segmented Eratosthenes-style pass.  All downstream window scans
 (balance classification, star-set counts, weight sums, discrepancy sums)
-read these arrays directly.
+read these arrays directly; the masks and moment sums do so one CHUNK
+of the window at a time, so their scratch memory is bounded by the chunk.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.special import expi
 
 SEGMENT = 1 << 22  # integers per sieve segment
+CHUNK = 1 << 20  # integers per chunk of the window scans above the table
 
 _LI_OFFSET = expi(math.log(2.0))  # li(2), subtracted so Li(2) = 0
 

@@ -6,10 +6,12 @@ The weight is
 
 with P_H(n) the product of the shifted values n + h_i.  Two routes are
 provided: a per-n oracle that factors each n + h_i and enumerates the
-squarefree divisors depth-first, and a batch route that walks squarefree
-d <= R once and adds each d's contribution to its residue classes (found
-by CRT from the roots of P_H mod each prime of d).  The batch route is
-what the window-length moment sums use.
+squarefree divisors depth-first, and a batch route that plans the
+squarefree d <= R with their values and residue classes (found by CRT
+from the roots of P_H mod each prime of d) once, then adds each d's value
+to its classes in a buffer starting at any lo.  The moment sums fill one
+sieve.CHUNK of [N, 2N) at a time from that plan and pass the chunk sums
+of their summand to math.fsum, so they hold no N-sized float array.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -26,7 +28,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from . import balanced, density
+from . import balanced, density, sieve
 from .sieve import FactorTable, factorize
 from .tuples import AdmissibleTuple, positivity_factor, singular_series
 
@@ -105,9 +107,7 @@ def lambda_r_naive(n: int, cfg: WeightConfig, table: FactorTable) -> float:
 
 def _squarefree_moduli(R: float) -> list[tuple[int, int, tuple[int, ...]]]:
     """All squarefree d <= R as (d, mu(d), prime factors), ascending in d."""
-    from .sieve import primes_up_to
-
-    plist = [int(p) for p in primes_up_to(int(R))]
+    plist = [int(p) for p in sieve.primes_up_to(int(R))]
     out: list[tuple[int, int, tuple[int, ...]]] = []
 
     def dfs(i: int, d: int, mu: int, pf: tuple[int, ...]) -> None:
@@ -137,52 +137,68 @@ def _residue_classes(pf: tuple[int, ...], H: AdmissibleTuple) -> tuple[int, list
     return m, sorted(classes)
 
 
+def _weight_plan(cfg: WeightConfig) -> list[tuple[int, float, list[int]]]:
+    """(d, the value d adds, its CRT classes mod d) for every squarefree d <= R, ascending in d."""
+    power = cfg.k + cfg.l
+    norm = 1.0 / factorial(power)
+    return [(d, mu * math.log(cfg.R / d) ** power * norm, _residue_classes(pf, cfg.H)[1])
+            for d, mu, pf in _squarefree_moduli(cfg.R)]
+
+
+def _fill(plan: list[tuple[int, float, list[int]]], buf: np.ndarray, lo: int) -> None:
+    """Add the weight of every n in [lo, lo + len(buf)) to buf.
+
+    Each element receives its additions in increasing d, which fixes the
+    rounding: the small moduli d <= BLOCK_MAX_D, a prefix of that order,
+    are applied one BLOCK-sized stretch of buf at a time so that it stays
+    in cache, and the larger d then add over all of buf.
+    """
+    n_small = sum(d <= BLOCK_MAX_D for d, _, _ in plan)
+    for b0 in range(0, len(buf), BLOCK):
+        block = buf[b0 : b0 + BLOCK]
+        for d, val, classes in plan[:n_small]:
+            for a in classes:
+                block[(a - lo - b0) % d :: d] += val
+    for d, val, classes in plan[n_small:]:
+        for a in classes:
+            buf[(a - lo) % d :: d] += val
+
+
 def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | None = None) -> np.ndarray:
     """Weights for every n in [lo, hi) by residue-class accumulation.
 
     The weight depends on n only through its residues mod the squarefree
     d <= R, so no factorizations are needed; the optional table is only
-    range-checked for interface parity with the oracle.  Each element
-    receives its additions in increasing d, which fixes the rounding: the
-    small moduli d <= BLOCK_MAX_D, a prefix of that order, are applied one
-    BLOCK-sized stretch of the vector at a time so that it stays in cache,
-    and the larger d then add over the whole vector.
+    range-checked for interface parity with the oracle.  It plans the
+    moduli once (_weight_plan) and fills a zeroed vector (_fill).
     """
     if table is not None and (lo < table.lo or hi > table.hi):
         raise ValueError(f"[{lo}, {hi}) not covered by table [{table.lo}, {table.hi})")
-    k, l, R = cfg.k, cfg.l, cfg.R
-    power = k + l
-    norm = 1.0 / factorial(power)
-
-    def terms(d: int, mu: int, pf: tuple[int, ...]) -> tuple[float, list[int]]:
-        """The value d adds and, per residue class, the offset of its first member from lo."""
-        _, classes = _residue_classes(pf, cfg.H)
-        return mu * math.log(R / d) ** power * norm, [(a - lo) % d for a in classes]
-
-    moduli = _squarefree_moduli(R)
-    n_small = sum(d <= BLOCK_MAX_D for d, _, _ in moduli)
-    small = [(d, *terms(d, mu, pf)) for d, mu, pf in moduli[:n_small]]
     w = np.zeros(hi - lo, dtype=np.float64)
-    for b0 in range(0, len(w), BLOCK):
-        block = w[b0 : b0 + BLOCK]
-        for d, val, starts in small:
-            for start in starts:
-                block[(start - b0) % d :: d] += val
-    for d, mu, pf in moduli[n_small:]:
-        val, starts = terms(d, mu, pf)
-        for start in starts:
-            w[start::d] += val
+    _fill(_weight_plan(cfg), w, lo)
     return w
 
 
-def _chunked_fsum(n: int, term, chunk: int = 1 << 20) -> float:
-    """Deterministic compensated reduction of term over [0, n): fsum over fixed-size chunk sums.
+def _window_fsum(N: int, cfg: WeightConfig, table: FactorTable, term) -> float:
+    """Deterministic compensated sum of term over [N, 2N): fsum over per-chunk sums.
 
-    term(s) forms the summand array on the slice s only, so no n-sized
-    temporary is built; each chunk sum is that of the same slice of the
-    full-width expression.
+    The window is walked in sieve.CHUNK-sized chunks [a, b) of offsets from
+    N; term(w, a, b) forms the summand array from the weights w of that
+    chunk alone, so no N-sized array is built.
     """
-    return math.fsum(float(term(slice(i, i + chunk)).sum()) for i in range(0, n, chunk))
+    hmax = max(cfg.H.offsets)
+    if table.lo > N or table.hi < 2 * N + hmax:
+        raise ValueError(f"table [{table.lo}, {table.hi}) must cover [{N}, {2 * N + hmax})")
+    plan = _weight_plan(cfg)
+    buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
+    sums = []
+    for a in range(0, N, sieve.CHUNK):
+        b = min(a + sieve.CHUNK, N)
+        w = buf[: b - a]
+        w.fill(0.0)
+        _fill(plan, w, N + a)
+        sums.append(float(term(w, a, b).sum()))
+    return math.fsum(sums)
 
 
 def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
@@ -203,15 +219,6 @@ def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
 
 def _series_value(cfg: WeightConfig) -> float:
     return singular_series(cfg.H, SERIES_P_MAX).value
-
-
-def _weights_window(N: int, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
-    hmax = max(cfg.H.offsets)
-    if table.lo > N or table.hi < 2 * N + hmax:
-        raise ValueError(
-            f"table [{table.lo}, {table.hi}) must cover [{N}, {2 * N + hmax})"
-        )
-    return lambda_r_batch(N, 2 * N, cfg, table)
 
 
 def check_moment_args(
@@ -261,8 +268,7 @@ def _report(N: int, cfg: WeightConfig, variant: str, empirical: float, predicted
 def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
     _range_warnings(N, cfg, quarter=False)
-    w = _weights_window(N, cfg, table)
-    empirical = _chunked_fsum(N, lambda s: w[s] * w[s])
+    empirical = _window_fsum(N, cfg, table, lambda w, a, b: w * w)
     s_h = _series_value(cfg)
     return _report(
         N, cfg, LEMMA1, empirical, _lemma1_main(N, cfg, s_h),
@@ -270,19 +276,19 @@ def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport
     )
 
 
-def _prime_indicator(N: int, h: int, table: FactorTable) -> np.ndarray:
-    """Primality of n + h for n in [N, 2N), no window restriction."""
+def _prime_indicator(N: int, h: int, table: FactorTable, a: int, b: int) -> np.ndarray:
+    """Primality of n + h for n in [N + a, N + b), no window restriction."""
     i0 = N + h - table.lo
-    return table.omega[i0 : i0 + N] == 1
+    return table.omega[i0 + a : i0 + b] == 1
 
 
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
     """Squared weights against the prime indicator at shift h."""
     check_moment_args(N, cfg, h)
     _range_warnings(N, cfg, quarter=True)
-    w = _weights_window(N, cfg, table)
-    chi = _prime_indicator(N, h, table)
-    empirical = _chunked_fsum(N, lambda s: w[s] * w[s] * chi[s])
+    empirical = _window_fsum(
+        N, cfg, table, lambda w, a, b: w * w * _prime_indicator(N, h, table, a, b)
+    )
     s_h = _series_value(cfg)
     return _report(N, cfg, LEMMA2, empirical, _lemma2_main(N, cfg, s_h), h=h, singular_series=s_h)
 
@@ -296,16 +302,17 @@ def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, ta
     return smask
 
 
-def _wide_indicator(N: int, h: int, smask: np.ndarray, table: FactorTable) -> np.ndarray:
-    """Indicator of n + h prime or a star-set member, for n in [N, 2N).
+def _wide_indicator(N: int, h: int, smask: np.ndarray, table: FactorTable, a: int, b: int) -> np.ndarray:
+    """Indicator of n + h prime or a star-set member, for n in [N + a, N + b).
 
     The prime part carries no window restriction so that this dominates
     the plain prime indicator pointwise; star membership (smask, over
     [N, 2N)) is inherently confined to [N, 2N), i.e. to n < 2N - h.
     """
-    hit = np.zeros(N, dtype=bool)
-    hit[: max(N - h, 0)] = smask[h:]
-    return _prime_indicator(N, h, table) | hit
+    hit = _prime_indicator(N, h, table, a, b)
+    star = smask[a + h : b + h]
+    hit[: len(star)] |= star
+    return hit
 
 
 def moment_lemma3(
@@ -315,9 +322,9 @@ def moment_lemma3(
     check_moment_args(N, cfg, h, spec)
     smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
-    w = _weights_window(N, cfg, table)
-    chi = _wide_indicator(N, h, smask, table)
-    empirical = _chunked_fsum(N, lambda s: w[s] * w[s] * chi[s])
+    empirical = _window_fsum(
+        N, cfg, table, lambda w, a, b: w * w * _wide_indicator(N, h, smask, table, a, b)
+    )
     s_h = _series_value(cfg)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
@@ -338,16 +345,19 @@ def s_statistic(
     check_moment_args(N, cfg, spec=spec)
     smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
-    w = _weights_window(N, cfg, table)
-    hits = np.zeros(N, dtype=np.int16)
-    for h in cfg.H.offsets:
-        hits += _wide_indicator(N, h, smask, table)
-    empirical = _chunked_fsum(N, lambda s: (hits[s].astype(np.float64) - 1.0) * w[s] * w[s])
+    multi_hits = []
+
+    def term(w, a, b):
+        hits = sum(_wide_indicator(N, h, smask, table, a, b) for h in cfg.H.offsets)
+        multi_hits.append(int((hits >= 2).sum()))
+        return (hits - 1.0) * w * w
+
+    empirical = _window_fsum(N, cfg, table, term)
     s_h = _series_value(cfg)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
         N, cfg, S_STATISTIC, empirical,
         _lemma1_main(N, cfg, s_h) * positivity_factor(cfg.k, cfg.l, c0v),
         r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
-        multi_hit_count=int((hits >= 2).sum()),
+        multi_hit_count=sum(multi_hits),
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import balanced, weights
+from primegaps import balanced, sieve, weights
 from primegaps.balanced import (
     StarSetSpec,
     balanced_mask,
@@ -179,7 +179,7 @@ def test_ptilde_mask_partition(table_win_1e4):
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     t = table_win_1e4
     sm = star_mask(spec, t)
-    pm = weights._wide_indicator(N, 0, sm, t)
+    pm = weights._wide_indicator(N, 0, sm, t, 0, N)
     primes = t.omega[0:N] == 1
     assert np.array_equal(pm, primes | sm)
     assert not (primes & sm).any()  # primes have omega 1, star members omega r
@@ -217,3 +217,15 @@ def test_window_masks_match_full_width_logs(table_win_1e7, r):
     if r == 40:
         assert not ref_star.any() and not ref_bal.any()
 
+
+@pytest.mark.parametrize("chunk", [1000, 999])
+def test_window_masks_do_not_depend_on_the_chunk(table_win_1e4, monkeypatch, chunk):
+    # 1000 splits [N, 2N) into 10 whole chunks, 999 leaves a ragged last one;
+    # the reference is the one-chunk scan of the default CHUNK > N
+    N, t = 10**4, table_win_1e4
+    cases = [(StarSetSpec(N=N, r=r, eps=eps), r, eps) for r in (1, 2, 3) for eps in (0.05, 0.3, 0.9)]
+    whole = [(star_mask(spec, t), balanced_mask(N, r, eps, t)) for spec, r, eps in cases]
+    monkeypatch.setattr(sieve, "CHUNK", chunk)
+    for (spec, r, eps), (sm, bm) in zip(cases, whole):
+        assert np.array_equal(star_mask(spec, t), sm)
+        assert np.array_equal(balanced_mask(N, r, eps, t), bm)

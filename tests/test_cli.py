@@ -176,6 +176,16 @@ def test_usage_error_exit_2(capsys):
         main(["no-such-command"])
 
 
+def test_option_prefix_is_a_usage_error(capsys):
+    # s-stat has no --h; with prefix matching argparse read it as --help and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["s-stat", "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5", "--h", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "unrecognized arguments: --h 5" in captured.err
+
+
 def test_computation_error_exit_1(capsys):
     rc = main(["density", "--r", "1", "--eps", "0.1"])
     assert rc == 1

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
 
-from primegaps import weights
+from primegaps import sieve, weights
 from primegaps.balanced import StarSetSpec, in_star_set, star_mask
-from primegaps.sieve import factorize
+from primegaps.sieve import build_factor_table, factorize
 from primegaps.tuples import AdmissibleTuple, generate_tuple, nu_p
 from primegaps.weights import (
     WeightConfig,
@@ -257,7 +258,7 @@ def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, r):
     smask = star_mask(spec, t)
     hits = np.zeros(N, dtype=int)
     for h in cfg.H.offsets:
-        got = weights._wide_indicator(N, h, smask, t)
+        got = weights._wide_indicator(N, h, smask, t, 0, N)
         fs = [factorize(t, n + h) for n in range(N, 2 * N)]
         want = np.array([f.omega_big == 1 or in_star_set(f, spec) for f in fs])
         assert np.array_equal(got, want), h
@@ -314,3 +315,66 @@ def test_out_of_range_R_warns(table_win_1e4):
     cfg = WeightConfig(H=AdmissibleTuple((0, 2)), l=0, R=500.0)  # > N^(1/4)
     with pytest.warns(UserWarning):
         moment_lemma2(N, cfg, 0, table_win_1e4)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("chunk", [1000, 999])
+@pytest.mark.parametrize("R", [10.0, 300.0])
+def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypatch, chunk, R):
+    # 1000 splits [N, 2N) into 10 whole chunks, 999 leaves a ragged last
+    # one; the shifts n + h and the star slice cross every chunk end, and
+    # R = 300 adds moduli above BLOCK_MAX_D.  Reference: fsum of the sums
+    # of the same slices of each full-width expression.
+    N, t = 10**4, table_win_1e4
+    cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=R)
+    w = lambda_r_batch(N, 2 * N, cfg, t)
+
+    def ref(full):
+        return math.fsum(float(full[i : i + chunk].sum()) for i in range(0, N, chunk))
+
+    monkeypatch.setattr(sieve, "CHUNK", chunk)
+    assert moment_lemma1(N, cfg, t).empirical == ref(w * w)
+    for h in cfg.H.offsets:
+        chi = weights._prime_indicator(N, h, t, 0, N)
+        assert moment_lemma2(N, cfg, h, t).empirical == ref(w * w * chi)
+    for r in (2, 3):
+        spec = StarSetSpec(N=N, r=r, eps=0.3)
+        smask = star_mask(spec, t)
+        hits = np.zeros(N, dtype=np.int16)
+        for h in cfg.H.offsets:
+            chi = weights._wide_indicator(N, h, smask, t, 0, N)
+            hits += chi
+            if r == 2:
+                assert moment_lemma3(N, cfg, h, spec, t).empirical == ref(w * w * chi)
+        rep = s_statistic(N, cfg, spec, t)
+        assert rep.empirical == ref((hits.astype(np.float64) - 1.0) * w * w)
+        assert rep.extra["multi_hit_count"] == int((hits >= 2).sum())
+
+
+def _peak_bytes(fn, *args) -> int:
+    """tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_window_layers_hold_no_float_array_of_window_size():
+    # doubling N from 2^21 to 2^22 may grow a peak by the bool star mask
+    # (1 byte per integer) but by no N-sized float64 or int16 array
+    peaks = {}
+    for N in (2**21, 2**22):
+        t = build_factor_table(N, 2 * N + 9)
+        cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
+        spec = StarSetSpec(N=N, r=2, eps=0.3)
+        peaks[N] = {
+            "star_mask": _peak_bytes(star_mask, spec, t),
+            "moment_lemma1": _peak_bytes(moment_lemma1, N, cfg, t),
+            "s_statistic": _peak_bytes(s_statistic, N, cfg, spec, t),
+        }
+        del t
+    for name, small in peaks[2**21].items():
+        assert (peaks[2**22][name] - small) / 2**21 < 2.0, (name, peaks)
