@@ -5,7 +5,8 @@ timestamp); re-running with an identical manifest reproduces the output
 byte-for-byte.  CSV files carry the manifest as a leading '#' comment line
 and print numerics with 15 significant digits.
 
-Exit codes: 0 success, 1 computation error, 2 usage error.
+Exit codes: 0 success, 1 computation error (including a window too large
+for physical memory, refused before allocating), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -22,9 +24,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import build_factor_table, factorize
+from .sieve import FactorTable, build_factor_table, factorize
 
 ARTIFACT_VERSION = __version__
+TABLE_BYTES = 18  # per table integer: int64 p_minus and p_plus, int16 omega
 
 
 @dataclass(frozen=True)
@@ -112,12 +115,34 @@ def _star_spec(args) -> balanced.StarSetSpec:
     return balanced.StarSetSpec(N=args.n_window, r=args.r, eps=args.eps)
 
 
+def _check_memory(windows=(), floats: int = 0) -> None:
+    """Refuse, before allocating, a run whose arrays would not fit in physical memory.
+
+    The estimate is TABLE_BYTES per integer of each [lo, hi) table window,
+    plus its sqrt(hi)-byte prime sieve, plus 8 bytes per float vector element.
+    """
+    need = sum(TABLE_BYTES * (hi - lo) + math.isqrt(max(hi, 0)) for lo, hi in windows)
+    need += 8 * floats
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"this run needs about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _table(lo: int, hi: int) -> FactorTable:
+    """The factor table of [lo, hi), built only if it fits in memory."""
+    _check_memory([(lo, hi)])
+    return build_factor_table(lo, hi)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_classify(args) -> None:
     n = args.n
-    table = build_factor_table(max(2, n - 1), n + 2)
+    table = _table(max(2, n - 1), n + 2)
     cls = balanced.classify(factorize(table, n))
     row = {
         "n": cls.n,
@@ -131,7 +156,7 @@ def cmd_classify(args) -> None:
 def cmd_count_star(args) -> None:
     N = args.n_window
     spec = _star_spec(args)
-    table = build_factor_table(N, 2 * N)
+    table = _table(N, 2 * N)
     count, predicted = balanced.count_star(spec, table)
     summary = {
         "N": N,
@@ -200,6 +225,7 @@ def cmd_weights(args) -> None:
     H = _load_tuple(args)
     cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
     N = args.n_window
+    _check_memory(floats=N)
     w = weights.lambda_r_batch(N, 2 * N, cfg)
     rows = [{"n": int(N + i), "weight": float(w[i])} for i in range(len(w))]
     summary = {"N": N, "k": cfg.k, "l": cfg.l, "R": cfg.R, "count": len(rows)}
@@ -226,7 +252,7 @@ def cmd_moments(args) -> None:
     N = args.n_window
     spec = _star_spec(args) if args.variant == "lemma3" else None
     weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
-    table = build_factor_table(N, 2 * N + max(H.offsets) + 1)
+    table = _table(N, 2 * N + max(H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
     elif args.variant == "lemma2":
@@ -242,7 +268,7 @@ def cmd_s_stat(args) -> None:
     N = args.n_window
     spec = _star_spec(args)
     weights.check_moment_args(N, cfg, spec=spec)
-    table = build_factor_table(N, 2 * N + max(H.offsets) + 1)
+    table = _table(N, 2 * N + max(H.offsets) + 1)
     rep = weights.s_statistic(N, cfg, spec, table)
     _emit(args, _manifest(args), [], _moment_summary(rep))
 
@@ -262,7 +288,7 @@ def _emit_discrepancy(args, rep: equidist.DiscrepancyReport) -> None:
 def cmd_bv(args) -> None:
     N = args.n_window
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
-    table = build_factor_table(2, N + 1)
+    table = _table(2, N + 1)
     rep = equidist.bv_prime_discrepancy(cfg, table)
     _emit_discrepancy(args, rep)
 
@@ -271,7 +297,7 @@ def cmd_bv_star(args) -> None:
     N = args.n_window
     spec = _star_spec(args)
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max, target=equidist.STAR_SET_WINDOW, spec=spec)
-    table = build_factor_table(N, 2 * N)
+    table = _table(N, 2 * N)
     rep = equidist.bv_star_discrepancy(cfg, table)
     _emit_discrepancy(args, rep)
 
@@ -279,6 +305,9 @@ def cmd_bv_star(args) -> None:
 def cmd_bv_weighted(args) -> None:
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
+    # the [2, N] table and g's N + 1 floats, f's m_max floats, and the mobius table
+    mobius_window = [(2, m_max + 1)] if args.f == "mobius" else []
+    _check_memory([(2, N + 1), *mobius_window], floats=N + 1 + m_max)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

@@ -3,10 +3,17 @@
 The FactorTable is the factorization backbone for the whole package: it
 stores, for every integer in [lo, hi), its least prime factor, greatest
 prime factor and number of prime factors counted with multiplicity, built
-by a segmented Eratosthenes-style pass.  All downstream window scans
-(balance classification, star-set counts, weight sums, discrepancy sums)
-read these arrays directly; the masks and moment sums do so one CHUNK
-of the window at a time, so their scratch memory is bounded by the chunk.
+by a segmented Eratosthenes-style pass.  Within each SEGMENT the primes up
+to SMALL_P, which hit most of the entries, are walked one cache-sized
+BLOCK at a time, so their passes stay in cache; the larger primes walk the
+whole segment.  The cofactor left after dividing out the sieving primes is
+held in int32 while the window stays below 2^31, and P^- starts at the
+UNSET sentinel and is lowered by one in-place minimum per prime.
+
+All downstream window scans (balance classification, star-set counts,
+weight sums, discrepancy sums) read these arrays directly; the masks and
+moment sums do so one CHUNK of the window at a time, so their scratch
+memory is bounded by the chunk.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
@@ -23,6 +30,9 @@ import numpy as np
 from scipy.special import expi
 
 SEGMENT = 1 << 22  # integers per sieve segment
+BLOCK = 1 << 17  # integers per cache-sized block of the small-prime walk
+SMALL_P = 256  # primes up to this are walked one BLOCK at a time
+UNSET = np.iinfo(np.int64).max  # p_minus of an entry no sieving prime divides yet
 CHUNK = 1 << 20  # integers per chunk of the window scans above the table
 
 _LI_OFFSET = expi(math.log(2.0))  # li(2), subtracted so Li(2) = 0
@@ -110,41 +120,52 @@ class FactorTable:
         return n - self.lo
 
 
-def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
-    """Fill factor stats for [lo, hi) in place in one walk over the prime powers."""
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in (int(p) for p in primes):
+def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
+    """Count, divide out and record each prime's powers on [lo, hi), primes in increasing order."""
+    for p in map(int, primes):
         q = p
-        first = True
-        while q < hi:
-            start = ((lo + q - 1) // q) * q
-            if start >= hi:
-                break
+        while (start := -(-lo // q) * q) < hi:
             s = start - lo
             omega[s::q] += 1
             rem[s::q] //= p
-            if first:
+            if q == p:
                 pmax[s::q] = p
                 sub = pmin[s::q]
-                sub[sub == 0] = p
+                np.minimum(sub, p, out=sub)
             q *= p
-            first = False
+
+
+def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
+    """Fill factor stats for [lo, hi) in place: small primes block by block, then the rest."""
+    rem = np.arange(lo, hi, dtype=np.int32 if hi <= 2**31 else np.int64)
+    pmin.fill(UNSET)
+    small = np.searchsorted(primes, SMALL_P, side="right")
+    for a in range(0, hi - lo, BLOCK):
+        b = min(a + BLOCK, hi - lo)
+        _walk(lo + a, lo + b, primes[:small], rem[a:b], pmin[a:b], pmax[a:b], omega[a:b])
+    # every entry still sees its primes in increasing order, so the last
+    # pmax write is its largest prime <= sqrt(hi)
+    _walk(lo, hi, primes[small:], rem, pmin, pmax, omega)
     # Residual cofactors: after removing all prime factors <= sqrt(hi),
-    # what remains is either 1 or a single prime > sqrt(hi).  A zero pmin
+    # what remains is either 1 or a single prime > sqrt(hi).  An unset pmin
     # means no prime <= sqrt(hi) divides n, so n = rem is itself prime.
     left = rem > 1
     omega += left
     np.copyto(pmax, rem, where=left)
-    np.copyto(pmin, rem, where=pmin == 0)
+    np.copyto(pmin, rem, where=pmin == UNSET)
 
 
 def build_factor_table(lo: int, hi: int) -> FactorTable:
     """Build the factor table for the window [lo, hi).
 
     Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 18 bytes
-    per integer (int64 p_minus and p_plus, int16 omega); the pass works one
-    SEGMENT-sized segment at a time, so its scratch memory is bounded by
-    the segment, not by the window.
+    per integer (int64 p_minus and p_plus, int16 omega) and are written in
+    place; the pass works one SEGMENT-sized segment at a time, so its
+    scratch memory is bounded by the segment, not by the window: the
+    residual cofactors (int32 for hi <= 2^31, else int64) and two bool
+    masks, 24 MiB per segment below 2^31 and 40 MiB above.  Each segment
+    walks the primes <= SMALL_P one BLOCK at a time, then the rest; p_minus
+    starts at UNSET and entries still UNSET after the walk are primes.
     Deterministic: rebuilding any sub-window yields identical entries.
     """
     if lo < 2:
@@ -153,7 +174,7 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
         raise ValueError(f"need hi > lo, got [{lo}, {hi})")
     size = hi - lo
     primes = primes_up_to(math.isqrt(hi - 1))
-    pmin = np.zeros(size, dtype=np.int64)
+    pmin = np.empty(size, dtype=np.int64)
     pmax = np.zeros(size, dtype=np.int64)
     omega = np.zeros(size, dtype=np.int16)
     for seg_lo in range(lo, hi, SEGMENT):

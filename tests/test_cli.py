@@ -217,6 +217,29 @@ def test_computation_error_exit_1(capsys):
         assert peak < 1 << 16, argv
 
 
+def test_oversized_window_fails_before_allocating(capsys):
+    # 18 bytes per table integer at N = 1e12 exceeds any physical memory;
+    # the estimate is refused before the table or a float vector exists
+    tup = ["--k", "3", "--l", "1", "--big-r", "10"]
+    huge = ["--n-window", str(10**12)]
+    for argv in (["bv", *huge, "--q-max", "10"], ["bv-weighted", *huge, "--q-max", "10", "--alpha", "0.5"],
+                 ["bv-star", *huge, "--q-max", "10", "--r", "2", "--eps", "0.3"],
+                 ["count-star", *huge, "--r", "2", "--eps", "0.3"], ["weights", *huge, *tup],
+                 ["moments", "--variant", "lemma1", *huge, *tup], ["s-stat", *huge, *tup],
+                 ["classify", "--n", str(10**30)]):
+        assert main(argv) == 1, argv
+        assert "physical memory" in capsys.readouterr().err, argv
+        args = build_parser().parse_args(argv)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                args.func(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, argv
+
+
 def test_csv_summary_format(capsys):
     rc, out = run(capsys, "density", "--r", "2", "--eps", "0.1",
                   "--format", "csv", "--timestamp", TS)

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primegaps import sieve
 from primegaps.sieve import (
     SEGMENT,
     Factorization,
@@ -127,6 +129,53 @@ def test_segment_boundary_rebuild_is_identical(table_win_1e7):
     assert np.array_equal(sub.p_minus, t.p_minus[a:b])
     assert np.array_equal(sub.p_plus, t.p_plus[a:b])
     assert np.array_equal(sub.omega, t.omega[a:b])
+
+
+def _table_bytes(t):
+    return [(a.dtype, a.tobytes()) for a in (t.p_minus, t.p_plus, t.omega)]
+
+
+def test_int32_residual_switch_against_sympy():
+    # the residual cofactor is int32 up to hi = 2^31 and int64 above, so a
+    # window across 2^31 must agree with an oracle and with its two halves
+    import sympy
+
+    lo, mid, hi = 2**31 - 2**12, 2**31, 2**31 + 2**12
+    t = build_factor_table(lo, hi)
+    assert (t.p_minus.dtype, t.p_plus.dtype, t.omega.dtype) == (np.int64, np.int64, np.int16)
+    for n in range(lo, hi):
+        f = sympy.factorint(n)
+        i = n - lo
+        assert (t.omega[i], t.p_minus[i], t.p_plus[i]) == (sum(f.values()), min(f), max(f)), n
+    assert t.omega[mid - 1 - lo] == 1 and t.p_minus[mid - 1 - lo] == 2**31 - 1
+    below, above = build_factor_table(lo, mid), build_factor_table(mid, hi)
+    for whole, a, b in zip(_table_bytes(t), _table_bytes(below), _table_bytes(above)):
+        assert whole == (a[0], a[1] + b[1])
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2**16), (2, 10**5), (10**6, 2 * 10**6 + 9)])
+def test_block_and_segment_sizes_do_not_change_the_table(monkeypatch, lo, hi):
+    # [2, 2^16) has sqrt(hi) < SMALL_P, so only the block walk runs there
+    want = _table_bytes(build_factor_table(lo, hi))
+    monkeypatch.setattr(sieve, "SEGMENT", 5000)
+    monkeypatch.setattr(sieve, "BLOCK", 777)
+    assert _table_bytes(build_factor_table(lo, hi)) == want
+
+
+def test_build_scratch_is_bounded_by_the_segment():
+    # the tracemalloc peak beyond the 18-byte-per-integer outputs is the
+    # per-segment scratch: at most 40 MiB, and the same at N = 2^22 and 2^23
+    scratch = {}
+    for N in (2**22, 2**23):
+        tracemalloc.start()
+        try:
+            t = build_factor_table(N, 2 * N)
+            scratch[N] = tracemalloc.get_traced_memory()[1] - 18 * N
+        finally:
+            tracemalloc.stop()
+        del t
+    assert max(scratch.values()) <= 40 << 20, scratch
+    assert abs(scratch[2**23] - scratch[2**22]) < 1 << 20, scratch
 
 
 def test_spf_marker_means_window_prime(table_full_1e6):
