@@ -1,9 +1,12 @@
 """Command-line front end: every subsystem as a subcommand with CSV/JSON output.
 
-Every output embeds a run manifest (subcommand, parameters, seed, version,
-timestamp); re-running with an identical manifest reproduces the output
-byte-for-byte.  CSV files carry the manifest as a leading '#' comment line
-and print numerics with 15 significant digits.
+Each subcommand returns a summary and, when it has rows, the row columns;
+`main` checks every float in them once, then writes them row by row, so no
+output is written when a value is not finite.  Every output embeds a run
+manifest (subcommand, parameters, seed, version, timestamp); re-running with
+an identical manifest reproduces the output byte-for-byte.  CSV files carry
+the manifest as a leading '#' comment line, print numerics with 15
+significant digits and quote fields that contain commas (a tuple's offsets).
 
 Exit codes: 0 success, 1 computation error (including a window too large
 for physical memory, refused before allocating), 2 usage error.
@@ -12,6 +15,8 @@ for physical memory, refused before allocating), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
 import json
 import math
@@ -19,83 +24,75 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import FactorTable, build_factor_table, factorize
+from .sieve import FactorTable, build_factor_table, factorize, mobius
 
 ARTIFACT_VERSION = __version__
 TABLE_BYTES = 18  # per table integer: int64 p_minus and p_plus, int16 omega
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    seed: int
-    artifact_version: str
-    timestamp: str
-
-
-def _manifest(args: argparse.Namespace, skip=("out", "format", "func")) -> RunManifest:
-    params = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in skip and k not in ("subcommand", "seed", "timestamp") and v is not None
+def _manifest(args: argparse.Namespace) -> dict:
+    skip = ("out", "format", "func", "subcommand", "seed", "timestamp")
+    return {
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None},
+        "seed": args.seed,
+        "artifact_version": ARTIFACT_VERSION,
+        "timestamp": args.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    return RunManifest(
-        subcommand=args.subcommand,
-        parameters=params,
-        seed=args.seed,
-        artifact_version=ARTIFACT_VERSION,
-        timestamp=args.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
+
+
+# json writes a finite float or an int with float.__repr__ or int.__repr__; the
+# rows call these directly, since json.dumps sets up an encoder on every call
+_JSON_REPR = {float: float.__repr__, int: int.__repr__}
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v} in CSV output")
         return f"{v:.15g}"
+    if isinstance(v, list):
+        return ",".join(map(str, v))
     return str(v)
 
 
-def _check_finite(obj) -> None:
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError("non-finite value in output")
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    if isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
+def _emit(args, summary: dict, columns: dict) -> None:
+    """Check every float of a subcommand's (summary, columns), then write them.
 
-
-def _emit(args, manifest: RunManifest, rows: list[dict], summary: dict) -> None:
-    _check_finite(summary)
-    for row in rows:
-        _check_finite(row)
-    if args.format == "json":
-        payload = {"manifest": asdict(manifest), "results": summary}
-        if rows:
-            payload["rows"] = rows
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["# manifest: " + json.dumps(asdict(manifest), sort_keys=True)]
-        if rows:
-            header = list(rows[0].keys())
-            lines.append(",".join(header))
-            lines += [",".join(_fmt(r[h]) for h in header) for r in rows]
-        else:
-            lines.append(",".join(summary.keys()))
-            lines.append(",".join(_fmt(v) for v in summary.values()))
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    columns maps each row field to an equal-length, re-iterable sequence ({}
+    without rows: CSV then writes the summary as its one row); JSON rows are
+    laid out as json.dumps(indent=2, sort_keys=True) would, one at a time.
+    """
+    for values in (summary.values(), *columns.values()):
+        for v in values:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError("non-finite value in output")
+    has_rows = len(next(iter(columns.values()), ())) > 0
+    manifest = _manifest(args)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.format == "csv":
+            out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+            writer = csv.writer(out, lineterminator="\n")
+            header, rows = (columns, zip(*columns.values())) if has_rows else (summary, [summary.values()])
+            writer.writerow(header)
+            writer.writerows(map(_fmt, row) for row in rows)
+            return
+        head = json.dumps({"manifest": manifest, "results": summary}, indent=2, sort_keys=True)
+        if not has_rows:
+            out.write(head + "\n")
+            return
+        keys = sorted(columns)
+        fields = [f"\n      {json.dumps(k)}: " for k in keys]
+        # "rows" sorts after "manifest" and "results": reopen the head before its closing "\n}"
+        out.write(head[:-2] + ',\n  "rows": [')
+        sep = "\n    {"
+        for row in zip(*(columns[k] for k in keys)):
+            body = ",".join(f + _JSON_REPR.get(type(v), json.dumps)(v) for f, v in zip(fields, row))
+            out.write(sep + body + "\n    }")
+            sep = ",\n    {"
+        out.write("\n  ]\n}\n")
 
 
 def _load_tuple(args) -> tuples.AdmissibleTuple:
@@ -107,6 +104,10 @@ def _load_tuple(args) -> tuples.AdmissibleTuple:
     if getattr(args, "k", None):
         return tuples.generate_tuple(args.k)
     raise ValueError("provide --tuple-file or --k")
+
+
+def _weight_config(args) -> weights.WeightConfig:
+    return weights.WeightConfig(H=_load_tuple(args), l=args.l, R=args.big_r)
 
 
 def _star_spec(args) -> balanced.StarSetSpec:
@@ -140,7 +141,7 @@ def _table(lo: int, hi: int) -> FactorTable:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_classify(args) -> None:
+def cmd_classify(args):
     n = args.n
     table = _table(max(2, n - 1), n + 2)
     cls = balanced.classify(factorize(table, n))
@@ -150,62 +151,58 @@ def cmd_classify(args) -> None:
         "threshold": cls.threshold,
         "is_prime": int(cls.is_prime),
     }
-    _emit(args, _manifest(args), [row], row)
+    return row, {k: [v] for k, v in row.items()}
 
 
-def cmd_count_star(args) -> None:
+def cmd_count_star(args):
     N = args.n_window
     spec = _star_spec(args)
     table = _table(N, 2 * N)
     count, predicted = balanced.count_star(spec, table)
-    summary = {
+    return {
         "N": N,
         "r": args.r,
         "eps": args.eps,
         "count": count,
         "predicted": predicted,
         "ratio": count / predicted if predicted > 0 else 0.0,
-    }
-    _emit(args, _manifest(args), [], summary)
+    }, {}
 
 
-def cmd_density(args) -> None:
+def cmd_density(args):
     res = density.c0(args.r, args.eps)
-    summary = {
+    return {
         "r": res.r,
         "eps": res.eps,
         "value": res.value,
         "abs_error_estimate": res.abs_error_estimate,
         "upper_bound": density.c0_upper_bound(args.r, args.eps) if args.eps > 0 else 0.0,
-    }
-    _emit(args, _manifest(args), [], summary)
+    }, {}
 
 
-def cmd_tuple(args) -> None:
+def cmd_tuple(args):
     t = tuples.generate_tuple(args.k)
-    summary = {
+    return {
         "k": t.k,
-        "offsets": ",".join(str(h) for h in t.offsets) if args.format == "csv" else list(t.offsets),
+        "offsets": list(t.offsets),
         "diameter": t.diameter,
         "admissible": int(tuples.is_admissible(t)),
-    }
-    _emit(args, _manifest(args), [], summary)
+    }, {}
 
 
-def cmd_singular_series(args) -> None:
+def cmd_singular_series(args):
     H = _load_tuple(args)
     s = tuples.singular_series(H, args.p_max)
-    summary = {
-        "offsets": ",".join(str(h) for h in H.offsets) if args.format == "csv" else list(H.offsets),
+    return {
+        "offsets": list(H.offsets),
         "k": H.k,
         "p_max": s.p_max,
         "value": s.value,
         "tail_log_bound": s.tail_log_bound,
-    }
-    _emit(args, _manifest(args), [], summary)
+    }, {}
 
 
-def cmd_constants(args) -> None:
+def cmd_constants(args):
     q = tuples.GpyConstantsQuery(theta=args.theta)
     k0, c = tuples.gpy_constants(q)
     summary = {
@@ -218,91 +215,80 @@ def cmd_constants(args) -> None:
     if ref is not None:
         summary["reference_k0"] = ref[0]
         summary["reference_c"] = ref[1]
-    _emit(args, _manifest(args), [], summary)
+    return summary, {}
 
 
-def cmd_weights(args) -> None:
-    H = _load_tuple(args)
-    cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
+def cmd_weights(args):
+    cfg = _weight_config(args)
     N = args.n_window
-    _check_memory(floats=N)
+    # the vector and its tolist() (a 24 B float and an 8 B slot each) hold 40 B
+    # per integer; 48 B leaves room for the parser, the plan and the writer
+    _check_memory(floats=6 * N)
     w = weights.lambda_r_batch(N, 2 * N, cfg)
-    rows = [{"n": int(N + i), "weight": float(w[i])} for i in range(len(w))]
-    summary = {"N": N, "k": cfg.k, "l": cfg.l, "R": cfg.R, "count": len(rows)}
-    _emit(args, _manifest(args), rows, summary)
+    summary = {"N": N, "k": cfg.k, "l": cfg.l, "R": cfg.R, "count": len(w)}
+    return summary, {"n": range(N, 2 * N), "weight": w.tolist()}
 
 
-def _moment_summary(rep: weights.MomentReport) -> dict:
-    out = {
+def _moment_summary(rep: weights.MomentReport):
+    return {
         "N": rep.N,
         "variant": rep.variant,
         "empirical": rep.empirical,
         "predicted": rep.predicted_main_term,
         "ratio": rep.ratio,
-    }
-    for key, val in rep.extra.items():
-        if isinstance(val, (int, float, str, bool)):
-            out[key] = val
-    return out
+        **rep.extra,
+    }, {}
 
 
-def cmd_moments(args) -> None:
-    H = _load_tuple(args)
-    cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
+def cmd_moments(args):
+    cfg = _weight_config(args)
     N = args.n_window
     spec = _star_spec(args) if args.variant == "lemma3" else None
     weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
-    table = _table(N, 2 * N + max(H.offsets) + 1)
+    table = _table(N, 2 * N + max(cfg.H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
     elif args.variant == "lemma2":
         rep = weights.moment_lemma2(N, cfg, args.h, table)
     else:
         rep = weights.moment_lemma3(N, cfg, args.h, spec, table)
-    _emit(args, _manifest(args), [], _moment_summary(rep))
+    return _moment_summary(rep)
 
 
-def cmd_s_stat(args) -> None:
-    H = _load_tuple(args)
-    cfg = weights.WeightConfig(H=H, l=args.l, R=args.big_r)
+def cmd_s_stat(args):
+    cfg = _weight_config(args)
     N = args.n_window
     spec = _star_spec(args)
     weights.check_moment_args(N, cfg, spec=spec)
-    table = _table(N, 2 * N + max(H.offsets) + 1)
-    rep = weights.s_statistic(N, cfg, spec, table)
-    _emit(args, _manifest(args), [], _moment_summary(rep))
+    table = _table(N, 2 * N + max(cfg.H.offsets) + 1)
+    return _moment_summary(weights.s_statistic(N, cfg, spec, table))
 
 
-def _emit_discrepancy(args, rep: equidist.DiscrepancyReport) -> None:
-    rows = []
-    for r in rep.per_q:
-        row = {"q": r.q, "worst_a": r.worst_a, "max_abs_dev": r.max_abs_dev, "main_term": r.main_term}
-        if r.alt_max_abs_dev is not None:
-            row["alt_max_abs_dev"] = r.alt_max_abs_dev
-            row["alt_main_term"] = r.alt_main_term
-        rows.append(row)
-    summary = {"total": rep.total, "main_term_used": rep.main_term_used}
-    _emit(args, _manifest(args), rows, summary)
+def _discrepancy(rep: equidist.DiscrepancyReport):
+    """The report's totals, and its QRow fields as columns (alt_* only when set)."""
+    fields = ["q", "worst_a", "max_abs_dev", "main_term"]
+    if rep.per_q and rep.per_q[0].alt_max_abs_dev is not None:
+        fields += ["alt_max_abs_dev", "alt_main_term"]
+    columns = {f: [getattr(r, f) for r in rep.per_q] for f in fields}
+    return {"total": rep.total, "main_term_used": rep.main_term_used}, columns
 
 
-def cmd_bv(args) -> None:
+def cmd_bv(args):
     N = args.n_window
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
     table = _table(2, N + 1)
-    rep = equidist.bv_prime_discrepancy(cfg, table)
-    _emit_discrepancy(args, rep)
+    return _discrepancy(equidist.bv_prime_discrepancy(cfg, table))
 
 
-def cmd_bv_star(args) -> None:
+def cmd_bv_star(args):
     N = args.n_window
     spec = _star_spec(args)
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max, target=equidist.STAR_SET_WINDOW, spec=spec)
     table = _table(N, 2 * N)
-    rep = equidist.bv_star_discrepancy(cfg, table)
-    _emit_discrepancy(args, rep)
+    return _discrepancy(equidist.bv_star_discrepancy(cfg, table))
 
 
-def cmd_bv_weighted(args) -> None:
+def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
     # the [2, N] table and g's N + 1 floats, f's m_max floats, and the mobius table
@@ -311,8 +297,6 @@ def cmd_bv_weighted(args) -> None:
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":
-        from .sieve import mobius
-
         ft = build_factor_table(2, m_max + 1)
         f = np.array([1.0] + [float(mobius(factorize(ft, m))) for m in range(2, m_max + 1)])
     else:
@@ -323,19 +307,28 @@ def cmd_bv_weighted(args) -> None:
                 f[int(m) - 1] = val
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
     table = build_factor_table(2, N + 1)
-    rep = equidist.weighted_discrepancy(cfg, args.alpha, f, table)
-    _emit_discrepancy(args, rep)
+    return _discrepancy(equidist.weighted_discrepancy(cfg, args.alpha, f, table))
 
 
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, func) -> None:
+    p.set_defaults(func=func)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timestamp", default=None,
                    help="fix the manifest timestamp (for reproducible outputs)")
+
+
+def _add_weight_args(p: argparse.ArgumentParser) -> None:
+    """The window and (H, l, R) options of weights, moments and s-stat."""
+    p.add_argument("--n-window", type=int, required=True, metavar="N")
+    p.add_argument("--tuple-file", default=None)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--big-r", type=float, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,85 +339,62 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="balance threshold of one integer")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_classify)
-    _add_common(p)
+    _add_common(p, cmd_classify)
 
     p = sub.add_parser("count-star", help="star-set count over [N, 2N)")
     p.add_argument("--n-window", type=int, required=True, metavar="N")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_count_star)
-    _add_common(p)
+    _add_common(p, cmd_count_star)
 
     p = sub.add_parser("density", help="density constant C0(r, eps)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_density)
-    _add_common(p)
+    _add_common(p, cmd_density)
 
     p = sub.add_parser("tuple", help="deterministic admissible k-tuple")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_tuple)
-    _add_common(p)
+    _add_common(p, cmd_tuple)
 
     p = sub.add_parser("singular-series", help="Euler product for a tuple")
     p.add_argument("--tuple-file", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--p-max", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_singular_series)
-    _add_common(p)
+    _add_common(p, cmd_singular_series)
 
     p = sub.add_parser("constants", help="level-of-distribution constants")
     p.add_argument("--theta", type=float, required=True)
-    p.set_defaults(func=cmd_constants)
-    _add_common(p)
+    _add_common(p, cmd_constants)
 
     p = sub.add_parser("weights", help="per-n sieve weights over [N, 2N)")
-    p.add_argument("--n-window", type=int, required=True, metavar="N")
-    p.add_argument("--tuple-file", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--big-r", type=float, required=True)
-    p.set_defaults(func=cmd_weights)
-    _add_common(p)
+    _add_weight_args(p)
+    _add_common(p, cmd_weights)
 
     p = sub.add_parser("moments", help="empirical vs predicted moment sums")
     p.add_argument("--variant", choices=("lemma1", "lemma2", "lemma3"), required=True)
-    p.add_argument("--n-window", type=int, required=True, metavar="N")
-    p.add_argument("--tuple-file", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--big-r", type=float, required=True)
+    _add_weight_args(p)
     p.add_argument("--h", type=int, default=0)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--eps", type=float, default=0.3)
-    p.set_defaults(func=cmd_moments)
-    _add_common(p)
+    _add_common(p, cmd_moments)
 
     p = sub.add_parser("s-stat", help="hits-minus-one weighted statistic")
-    p.add_argument("--n-window", type=int, required=True, metavar="N")
-    p.add_argument("--tuple-file", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--big-r", type=float, required=True)
+    _add_weight_args(p)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--eps", type=float, default=0.3)
-    p.set_defaults(func=cmd_s_stat)
-    _add_common(p)
+    _add_common(p, cmd_s_stat)
 
     p = sub.add_parser("bv", help="prime discrepancy over progressions")
     p.add_argument("--n-window", type=int, required=True, metavar="N")
     p.add_argument("--q-max", type=int, required=True)
-    p.set_defaults(func=cmd_bv)
-    _add_common(p)
+    _add_common(p, cmd_bv)
 
     p = sub.add_parser("bv-star", help="star-set discrepancy over progressions")
     p.add_argument("--n-window", type=int, required=True, metavar="N")
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_bv_star)
-    _add_common(p)
+    _add_common(p, cmd_bv_star)
 
     p = sub.add_parser("bv-weighted", help="bounded-coefficient discrepancy")
     p.add_argument("--n-window", type=int, required=True, metavar="N")
@@ -432,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--f", default="const1",
                    help="built-in name (const1, mobius) or a two-column file")
-    p.set_defaults(func=cmd_bv_weighted)
-    _add_common(p)
+    _add_common(p, cmd_bv_weighted)
 
     return ap
 
@@ -443,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
-            args.func(args)
+            _emit(args, *args.func(args))
             error = None
         except (ValueError, ArithmeticError, OSError) as exc:
             error = exc

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import math
 import subprocess
@@ -6,10 +8,28 @@ import tracemalloc
 
 import pytest
 
+from primegaps import cli
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
 
 TS = "2024-01-01T00:00:00"
+
+# small arguments for every subcommand
+SUBCOMMANDS = {
+    "classify": ["--n", "49"],
+    "count-star": ["--n-window", "1000", "--r", "2", "--eps", "0.3"],
+    "density": ["--r", "2", "--eps", "0.1"],
+    "tuple": ["--k", "6"],
+    "singular-series": ["--k", "3", "--p-max", "10000"],
+    "constants": ["--theta", "0.971"],
+    "weights": ["--n-window", "100", "--k", "2", "--l", "1", "--big-r", "10"],
+    "moments": ["--variant", "lemma3", "--h", "2", "--n-window", "1000", "--k", "3", "--l", "1",
+                "--big-r", "5.6"],
+    "s-stat": ["--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5.6"],
+    "bv": ["--n-window", "1000", "--q-max", "5"],
+    "bv-star": ["--n-window", "1000", "--q-max", "3", "--r", "2", "--eps", "0.3"],
+    "bv-weighted": ["--n-window", "1000", "--q-max", "3", "--alpha", "0.5", "--f", "mobius"],
+}
 
 
 def run(capsys, *argv):
@@ -250,3 +270,73 @@ def test_csv_summary_format(capsys):
     values = lines[2].split(",")
     val = float(values[header.index("value")])
     assert math.isclose(val, 0.2001669171, rel_tol=1e-9)
+
+
+def test_every_subcommand_is_covered():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_csv_rows_are_as_long_as_the_header(capsys, name):
+    # a tuple's offsets hold commas, so they must come out as one quoted field
+    rc, out = run(capsys, name, *SUBCOMMANDS[name], "--format", "csv", "--timestamp", TS)
+    assert rc == 0
+    lines = out.split("\n")
+    assert lines[0].startswith("# manifest: ") and lines[-1] == ""
+    header, *rows = csv.reader(lines[1:-1])
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_csv_quotes_the_offsets_field(capsys):
+    rc, out = run(capsys, "tuple", "--k", "6", "--format", "csv", "--timestamp", TS)
+    assert rc == 0
+    assert out.split("\n")[1:] == ["k,offsets,diameter,admissible", '6,"0,4,6,10,12,16",16,1', ""]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_json_layout_matches_the_encoder(capsys, name):
+    rc, out = run(capsys, name, *SUBCOMMANDS[name], "--timestamp", TS)
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_value_writes_nothing(capsys, tmp_path, fmt):
+    # an inadmissible tuple has singular series 0, so the predicted moment is 0 and the ratio inf
+    tup = tmp_path / "t.txt"
+    tup.write_text("0,1,2\n")
+    argv = ["moments", "--variant", "lemma1", "--n-window", "1000", "--tuple-file", str(tup),
+            "--l", "1", "--big-r", "5.6", "--format", fmt, "--timestamp", TS]
+    out_file = tmp_path / "out"
+    for extra in ([], ["--out", str(out_file)]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite value in output\n"
+        assert captured.out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_weights_peak_memory_is_within_the_guard(tmp_path, monkeypatch, fmt):
+    # the memory guard must charge at least what the weights subcommand holds
+    charged = []
+    check = cli._check_memory
+
+    def spy(windows=(), floats=0):
+        charged.append(8 * floats + sum(cli.TABLE_BYTES * (hi - lo) for lo, hi in windows))
+        check(windows, floats)
+
+    monkeypatch.setattr(cli, "_check_memory", spy)
+    N = 10**5
+    argv = ["weights", "--n-window", str(N), "--k", "3", "--l", "1", "--big-r", "316.2",
+            "--format", fmt, "--timestamp", TS, "--out", str(tmp_path / "w")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1
+    assert peak / N <= charged[0] / N
+    assert len((tmp_path / "w").read_text().splitlines()) > N
