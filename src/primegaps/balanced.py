@@ -113,14 +113,14 @@ def _omega_r_mask(table: FactorTable, N: int, r: int, predicate) -> np.ndarray:
 
     Scanned one sieve.CHUNK at a time; logs are taken only at Omega(n) = r.
     """
-    if table.lo > N or table.hi < 2 * N:
-        raise ValueError(f"table [{table.lo}, {table.hi}) does not cover window [{N}, {2 * N})")
+    sl = table.span(N, 2 * N)
+    omega, p_minus, p_plus = table.omega[sl], table.p_minus[sl], table.p_plus[sl]
     mask = np.zeros(N, dtype=bool)
     for a in range(0, N, sieve.CHUNK):
-        sl = slice(N - table.lo + a, N - table.lo + min(a + sieve.CHUNK, N))
-        idx = np.flatnonzero(table.omega[sl] == r)
-        lpmin = np.log(table.p_minus[sl][idx].astype(np.float64))
-        lpmax = np.log(table.p_plus[sl][idx].astype(np.float64))
+        c = slice(a, a + sieve.CHUNK)
+        idx = np.flatnonzero(omega[c] == r)
+        lpmin = np.log(p_minus[c][idx].astype(np.float64))
+        lpmax = np.log(p_plus[c][idx].astype(np.float64))
         mask[a + idx[predicate(lpmin, lpmax)]] = True
     return mask
 

@@ -8,8 +8,8 @@ an identical manifest reproduces the output byte-for-byte.  CSV files carry
 the manifest as a leading '#' comment line, print numerics with 15
 significant digits and quote fields that contain commas (a tuple's offsets).
 
-Exit codes: 0 success, 1 computation error (including a window too large
-for physical memory, refused before allocating), 2 usage error.
+Exit codes: 0 success, 1 computation error (including a run too large for
+physical memory, refused before allocating), 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -28,14 +27,13 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import FactorTable, build_factor_table, factorize, mobius
+from .sieve import build_factor_table, check_fits, factorize, mobius, table_nbytes
 
 ARTIFACT_VERSION = __version__
-TABLE_BYTES = 18  # per table integer: int64 p_minus and p_plus, int16 omega
 
 
 def _manifest(args: argparse.Namespace) -> dict:
-    skip = ("out", "format", "func", "subcommand", "seed", "timestamp")
+    skip = ("out", "format", "func", "parser", "subcommand", "seed", "timestamp")
     return {
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None},
@@ -116,34 +114,12 @@ def _star_spec(args) -> balanced.StarSetSpec:
     return balanced.StarSetSpec(N=args.n_window, r=args.r, eps=args.eps)
 
 
-def _check_memory(windows=(), floats: int = 0) -> None:
-    """Refuse, before allocating, a run whose arrays would not fit in physical memory.
-
-    The estimate is TABLE_BYTES per integer of each [lo, hi) table window,
-    plus its sqrt(hi)-byte prime sieve, plus 8 bytes per float vector element.
-    """
-    need = sum(TABLE_BYTES * (hi - lo) + math.isqrt(max(hi, 0)) for lo, hi in windows)
-    need += 8 * floats
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(
-            f"this run needs about {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
-        )
-
-
-def _table(lo: int, hi: int) -> FactorTable:
-    """The factor table of [lo, hi), built only if it fits in memory."""
-    _check_memory([(lo, hi)])
-    return build_factor_table(lo, hi)
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_classify(args):
     n = args.n
-    table = _table(max(2, n - 1), n + 2)
+    table = build_factor_table(max(2, n - 1), n + 2)
     cls = balanced.classify(factorize(table, n))
     row = {
         "n": cls.n,
@@ -157,7 +133,7 @@ def cmd_classify(args):
 def cmd_count_star(args):
     N = args.n_window
     spec = _star_spec(args)
-    table = _table(N, 2 * N)
+    table = build_factor_table(N, 2 * N)
     count, predicted = balanced.count_star(spec, table)
     return {
         "N": N,
@@ -223,7 +199,7 @@ def cmd_weights(args):
     N = args.n_window
     # the vector and its tolist() (a 24 B float and an 8 B slot each) hold 40 B
     # per integer; 48 B leaves room for the parser, the plan and the writer
-    _check_memory(floats=6 * N)
+    check_fits(48 * N)
     w = weights.lambda_r_batch(N, 2 * N, cfg)
     summary = {"N": N, "k": cfg.k, "l": cfg.l, "R": cfg.R, "count": len(w)}
     return summary, {"n": range(N, 2 * N), "weight": w.tolist()}
@@ -245,7 +221,7 @@ def cmd_moments(args):
     N = args.n_window
     spec = _star_spec(args) if args.variant == "lemma3" else None
     weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
-    table = _table(N, 2 * N + max(cfg.H.offsets) + 1)
+    table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
     elif args.variant == "lemma2":
@@ -260,7 +236,7 @@ def cmd_s_stat(args):
     N = args.n_window
     spec = _star_spec(args)
     weights.check_moment_args(N, cfg, spec=spec)
-    table = _table(N, 2 * N + max(cfg.H.offsets) + 1)
+    table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     return _moment_summary(weights.s_statistic(N, cfg, spec, table))
 
 
@@ -276,7 +252,7 @@ def _discrepancy(rep: equidist.DiscrepancyReport):
 def cmd_bv(args):
     N = args.n_window
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
-    table = _table(2, N + 1)
+    table = build_factor_table(2, N + 1)
     return _discrepancy(equidist.bv_prime_discrepancy(cfg, table))
 
 
@@ -284,7 +260,7 @@ def cmd_bv_star(args):
     N = args.n_window
     spec = _star_spec(args)
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max, target=equidist.STAR_SET_WINDOW, spec=spec)
-    table = _table(N, 2 * N)
+    table = build_factor_table(N, 2 * N)
     return _discrepancy(equidist.bv_star_discrepancy(cfg, table))
 
 
@@ -292,8 +268,8 @@ def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
     # the [2, N] table and g's N + 1 floats, f's m_max floats, and the mobius table
-    mobius_window = [(2, m_max + 1)] if args.f == "mobius" else []
-    _check_memory([(2, N + 1), *mobius_window], floats=N + 1 + m_max)
+    mobius_table = table_nbytes(2, m_max + 1) if args.f == "mobius" else 0
+    check_fits(table_nbytes(2, N + 1) + mobius_table + 8 * (N + 1 + m_max))
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":
@@ -314,7 +290,7 @@ def cmd_bv_weighted(args):
 
 
 def _add_common(p: argparse.ArgumentParser, func) -> None:
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, parser=p)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--seed", type=int, default=0)
@@ -409,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; its UserWarnings print as 'warning: <message>' lines on stderr."""
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # an unknown option gets the usage of the subcommand it was passed to
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     with warnings.catch_warnings(record=True) as caught:
         try:
             _emit(args, *args.func(args))

@@ -45,6 +45,8 @@ class DiscrepancyConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target == STAR_SET_WINDOW and self.spec is None:
             raise ValueError("star-set target needs a StarSetSpec")
+        if self.target == STAR_SET_WINDOW and self.spec.N != self.N:
+            raise ValueError(f"spec window base {self.spec.N} != N={self.N}")
         if self.target == PRIMES_LE_N and self.q_max >= self.N:
             raise ValueError(f"q_max={self.q_max} must stay below N={self.N}")
 
@@ -105,15 +107,8 @@ def _discrepancy(
 
 def _target_values(cfg: DiscrepancyConfig, table: FactorTable) -> np.ndarray:
     if cfg.target == PRIMES_LE_N:
-        if table.lo > 2 or table.hi <= cfg.N:
-            raise ValueError(f"table must cover [2, {cfg.N}]")
-        upto = cfg.N - table.lo + 1
-        return table.lo + np.flatnonzero(table.omega[:upto] == 1)
-    spec = cfg.spec
-    if spec is None:
-        raise ValueError("star-set target needs a StarSetSpec")
-    mask = balanced.star_mask(spec, table)
-    return spec.N + np.flatnonzero(mask)
+        return 2 + np.flatnonzero(table.omega[table.span(2, cfg.N + 1)] == 1)
+    return cfg.spec.N + np.flatnonzero(balanced.star_mask(cfg.spec, table))
 
 
 def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:

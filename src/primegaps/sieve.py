@@ -11,9 +11,10 @@ held in int32 while the window stays below 2^31, and P^- starts at the
 UNSET sentinel and is lowered by one in-place minimum per prime.
 
 All downstream window scans (balance classification, star-set counts,
-weight sums, discrepancy sums) read these arrays directly; the masks and
-moment sums do so one CHUNK of the window at a time, so their scratch
-memory is bounded by the chunk.
+weight sums, discrepancy sums) read these arrays through FactorTable.span,
+the one coverage check; the masks and moment sums do so one CHUNK of the
+window at a time, so their scratch memory is bounded by the chunk.  Tables
+and prime sieves too large for physical memory are refused before allocating.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
@@ -24,6 +25,7 @@ Conventions fixed here for the whole package:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +40,30 @@ CHUNK = 1 << 20  # integers per chunk of the window scans above the table
 _LI_OFFSET = expi(math.log(2.0))  # li(2), subtracted so Li(2) = 0
 
 
+def check_fits(nbytes: int) -> None:
+    """Refuse, before allocating, a run of nbytes that would not fit in physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > have:
+        raise ValueError(f"this run needs about {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{have / 2**30:.3g} GiB of physical memory")
+
+
+def primes_nbytes(n: int) -> int:
+    """Bytes of primes_up_to(n): its bool sieve and pi(n) < 1.25506 n / ln n int64 primes."""
+    return n + 1 + 8 * (int(1.25506 * n / math.log(n)) + 1) if n >= 2 else 0
+
+
 def primes_up_to(n: int) -> np.ndarray:
-    """Ascending int64 array of all primes <= n (plain boolean sieve)."""
+    """Ascending int64 array of all primes <= n (plain boolean sieve), refused before allocating."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    check_fits(primes_nbytes(n))
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(mask)
 
 
 @dataclass(frozen=True)
@@ -119,6 +135,12 @@ class FactorTable:
             raise ValueError(f"n={n} outside table window [{self.lo}, {self.hi})")
         return n - self.lo
 
+    def span(self, lo: int, hi: int) -> slice:
+        """The offsets of [lo, hi) in the table's arrays; raises unless the table covers it."""
+        if lo < self.lo or hi > self.hi:
+            raise ValueError(f"table [{self.lo}, {self.hi}) does not cover [{lo}, {hi})")
+        return slice(lo - self.lo, hi - self.lo)
+
 
 def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
     """Count, divide out and record each prime's powers on [lo, hi), primes in increasing order."""
@@ -135,9 +157,13 @@ def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
             q *= p
 
 
+def _residual_dtype(hi: int):
+    return np.int32 if hi <= 2**31 else np.int64  # residual cofactors of a window below hi
+
+
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
     """Fill factor stats for [lo, hi) in place: small primes block by block, then the rest."""
-    rem = np.arange(lo, hi, dtype=np.int32 if hi <= 2**31 else np.int64)
+    rem = np.arange(lo, hi, dtype=_residual_dtype(hi))
     pmin.fill(UNSET)
     small = np.searchsorted(primes, SMALL_P, side="right")
     for a in range(0, hi - lo, BLOCK):
@@ -155,23 +181,32 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
     np.copyto(pmin, rem, where=pmin == UNSET)
 
 
+def table_nbytes(lo: int, hi: int) -> int:
+    """Bytes held by build_factor_table(lo, hi), with 64 KiB for its array headers and ufunc buffers."""
+    outputs = 18 * (hi - lo)  # int64 p_minus and p_plus, int16 omega
+    scratch = min(hi - lo, SEGMENT) * (np.dtype(_residual_dtype(hi)).itemsize + 2)  # and two bool masks
+    return outputs + scratch + primes_nbytes(math.isqrt(hi - 1)) + (1 << 16)
+
+
 def build_factor_table(lo: int, hi: int) -> FactorTable:
     """Build the factor table for the window [lo, hi).
 
     Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 18 bytes
-    per integer (int64 p_minus and p_plus, int16 omega) and are written in
-    place; the pass works one SEGMENT-sized segment at a time, so its
-    scratch memory is bounded by the segment, not by the window: the
+    per integer (int64 p_minus and p_plus, int16 omega), written in place
+    one SEGMENT at a time, so the scratch is bounded by the segment: the
     residual cofactors (int32 for hi <= 2^31, else int64) and two bool
-    masks, 24 MiB per segment below 2^31 and 40 MiB above.  Each segment
-    walks the primes <= SMALL_P one BLOCK at a time, then the rest; p_minus
-    starts at UNSET and entries still UNSET after the walk are primes.
-    Deterministic: rebuilding any sub-window yields identical entries.
+    masks, 24 MiB below 2^31 and 40 MiB above.  The build is refused before
+    allocating when that total, table_nbytes, exceeds physical memory.
+    Each segment walks the primes <= SMALL_P one BLOCK at a time, then the
+    rest; p_minus starts at UNSET and entries still UNSET after the walk
+    are primes.  Deterministic: rebuilding any sub-window yields identical
+    entries.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi})")
+    check_fits(table_nbytes(lo, hi))
     size = hi - lo
     primes = primes_up_to(math.isqrt(hi - 1))
     pmin = np.empty(size, dtype=np.int64)

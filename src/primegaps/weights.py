@@ -106,7 +106,15 @@ def lambda_r_naive(n: int, cfg: WeightConfig, table: FactorTable) -> float:
 
 
 def _squarefree_moduli(R: float) -> list[tuple[int, int, tuple[int, ...]]]:
-    """All squarefree d <= R as (d, mu(d), prime factors), ascending in d."""
+    """All squarefree d <= R as (d, mu(d), prime factors), ascending in d.
+
+    More than MAX_DIVISORS squarefree d lie below 2 * MAX_DIVISORS, so a
+    larger R is refused before its primes are sieved (as too large for
+    memory, if that sieve would not fit).
+    """
+    if R >= 2 * MAX_DIVISORS:
+        sieve.check_fits(sieve.primes_nbytes(int(R)))
+        raise ValueError(f"R={R} exceeds the divisor enumeration budget")
     plist = [int(p) for p in sieve.primes_up_to(int(R))]
     out: list[tuple[int, int, tuple[int, ...]]] = []
 
@@ -172,8 +180,8 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     range-checked for interface parity with the oracle.  It plans the
     moduli once (_weight_plan) and fills a zeroed vector (_fill).
     """
-    if table is not None and (lo < table.lo or hi > table.hi):
-        raise ValueError(f"[{lo}, {hi}) not covered by table [{table.lo}, {table.hi})")
+    if table is not None:
+        table.span(lo, hi)
     w = np.zeros(hi - lo, dtype=np.float64)
     _fill(_weight_plan(cfg), w, lo)
     return w
@@ -186,9 +194,7 @@ def _window_fsum(N: int, cfg: WeightConfig, table: FactorTable, term) -> float:
     N; term(w, a, b) forms the summand array from the weights w of that
     chunk alone, so no N-sized array is built.
     """
-    hmax = max(cfg.H.offsets)
-    if table.lo > N or table.hi < 2 * N + hmax:
-        raise ValueError(f"table [{table.lo}, {table.hi}) must cover [{N}, {2 * N + hmax})")
+    table.span(N, 2 * N + max(cfg.H.offsets))
     plan = _weight_plan(cfg)
     buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
     sums = []
@@ -278,8 +284,7 @@ def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport
 
 def _prime_indicator(N: int, h: int, table: FactorTable, a: int, b: int) -> np.ndarray:
     """Primality of n + h for n in [N + a, N + b), no window restriction."""
-    i0 = N + h - table.lo
-    return table.omega[i0 + a : i0 + b] == 1
+    return table.omega[table.span(N + h + a, N + h + b)] == 1
 
 
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
@@ -296,8 +301,7 @@ def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> Mome
 def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
     """Star mask over [N, 2N), checked free of prime factors <= R when R < N^a1."""
     smask = balanced.star_mask(spec, table)
-    pmin = table.p_minus[N - table.lo : 2 * N - table.lo]
-    if cfg.R < spec.N ** spec.a1 and not (pmin[smask] > cfg.R).all():
+    if cfg.R < spec.N ** spec.a1 and not (table.p_minus[table.span(N, 2 * N)][smask] > cfg.R).all():
         raise ArithmeticError("star member with a prime factor below R")
     return smask
 

@@ -11,6 +11,7 @@ import pytest
 from primegaps import cli
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
+from primegaps.sieve import build_factor_table, primes_up_to
 
 TS = "2024-01-01T00:00:00"
 
@@ -204,6 +205,9 @@ def test_option_prefix_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err and "unrecognized arguments: --h 5" in captured.err
+    # reported with the usage of the subcommand it was passed to, not the top-level one
+    assert captured.err.startswith("usage: primegaps s-stat")
+    assert "primegaps s-stat: error: unrecognized arguments: --h 5" in captured.err
 
 
 def test_computation_error_exit_1(capsys):
@@ -224,7 +228,10 @@ def test_computation_error_exit_1(capsys):
                  ["moments", "--variant", "lemma3", *tup, *star], ["s-stat", *tup, *star],
                  ["moments", "--variant", "lemma3", *tup, *star4], ["s-stat", *tup, *star4],
                  ["moments", "--variant", "lemma2", *tup, "--n-window", "3000000", "--h", "1"],
-                 ["moments", "--variant", "lemma3", *tup, "--n-window", "3000000", "--h", "1"]):
+                 ["moments", "--variant", "lemma3", *tup, "--n-window", "3000000", "--h", "1"],
+                 # an R past the divisor budget is refused before the primes <= R are sieved
+                 ["moments", "--variant", "lemma1", "--n-window", "1000", "--k", "3", "--l", "1",
+                  "--big-r", "2e8"]):
         assert main(argv) == 1
         args = build_parser().parse_args(argv)
         tracemalloc.start()
@@ -238,15 +245,18 @@ def test_computation_error_exit_1(capsys):
 
 
 def test_oversized_window_fails_before_allocating(capsys):
-    # 18 bytes per table integer at N = 1e12 exceeds any physical memory;
-    # the estimate is refused before the table or a float vector exists
+    # 18 bytes per table integer at N = 1e12 exceeds any physical memory, and
+    # so do the prime sieves to 1e12 or more; the estimate is refused before
+    # the table, the sieve or a float vector exists
     tup = ["--k", "3", "--l", "1", "--big-r", "10"]
     huge = ["--n-window", str(10**12)]
     for argv in (["bv", *huge, "--q-max", "10"], ["bv-weighted", *huge, "--q-max", "10", "--alpha", "0.5"],
                  ["bv-star", *huge, "--q-max", "10", "--r", "2", "--eps", "0.3"],
                  ["count-star", *huge, "--r", "2", "--eps", "0.3"], ["weights", *huge, *tup],
                  ["moments", "--variant", "lemma1", *huge, *tup], ["s-stat", *huge, *tup],
-                 ["classify", "--n", str(10**30)]):
+                 ["classify", "--n", str(10**30)],
+                 ["singular-series", "--k", "3", "--p-max", str(10**12)], ["tuple", "--k", str(10**12)],
+                 ["weights", "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "1e12"]):
         assert main(argv) == 1, argv
         assert "physical memory" in capsys.readouterr().err, argv
         args = build_parser().parse_args(argv)
@@ -258,6 +268,16 @@ def test_oversized_window_fails_before_allocating(capsys):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16, argv
+    # library callers get the same refusal
+    for fn, fn_args in ((build_factor_table, (10**12, 2 * 10**12)), (primes_up_to, (10**13,))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                fn(*fn_args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, fn
 
 
 def test_csv_summary_format(capsys):
@@ -321,13 +341,13 @@ def test_non_finite_value_writes_nothing(capsys, tmp_path, fmt):
 def test_weights_peak_memory_is_within_the_guard(tmp_path, monkeypatch, fmt):
     # the memory guard must charge at least what the weights subcommand holds
     charged = []
-    check = cli._check_memory
+    check = cli.check_fits
 
-    def spy(windows=(), floats=0):
-        charged.append(8 * floats + sum(cli.TABLE_BYTES * (hi - lo) for lo, hi in windows))
-        check(windows, floats)
+    def spy(nbytes):
+        charged.append(nbytes)
+        check(nbytes)
 
-    monkeypatch.setattr(cli, "_check_memory", spy)
+    monkeypatch.setattr(cli, "check_fits", spy)
     N = 10**5
     argv = ["weights", "--n-window", str(N), "--k", "3", "--l", "1", "--big-r", "316.2",
             "--format", fmt, "--timestamp", TS, "--out", str(tmp_path / "w")]

@@ -29,6 +29,9 @@ def test_config_validation():
         DiscrepancyConfig(N=100, q_max=10, target=STAR_SET_WINDOW)
     with pytest.raises(ValueError):
         DiscrepancyConfig(N=100, q_max=100)
+    # a star spec over another window base would silently count that window
+    with pytest.raises(ValueError, match="window base"):
+        DiscrepancyConfig(N=50, q_max=5, target=STAR_SET_WINDOW, spec=StarSetSpec(N=1000, r=2, eps=0.3))
 
 
 def test_prime_rows_small_moduli(table_full_1e5):

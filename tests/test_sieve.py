@@ -178,6 +178,45 @@ def test_build_scratch_is_bounded_by_the_segment():
     assert abs(scratch[2**23] - scratch[2**22]) < 1 << 20, scratch
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (2, 10**5),
+    (10**7, 2 * 10**7 + 9),  # several segments
+    (2**31 - 2**12, 2**31 + 2**12),  # int64 residual
+    (10**9, 10**9 + 2**23),
+])
+def test_table_nbytes_bounds_the_build(lo, hi):
+    # the memory refusal charges table_nbytes, so the build must hold no more:
+    # the outputs, the segment scratch and the prime sieve
+    tracemalloc.start()
+    try:
+        build_factor_table(lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve.table_nbytes(lo, hi), (peak, sieve.table_nbytes(lo, hi))
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+def test_primes_nbytes_bounds_the_sieve(n):
+    tracemalloc.start()
+    try:
+        ps = primes_up_to(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ps.dtype == np.int64
+    assert peak <= sieve.primes_nbytes(n), (peak, sieve.primes_nbytes(n))
+
+
+def test_span_is_the_coverage_check(table_full_1e4):
+    t = table_full_1e4
+    assert t.span(2, 12) == slice(0, 10)
+    assert t.span(t.hi - 3, t.hi) == slice(t.hi - 5, t.hi - 2)
+    for lo, hi in ((1, 10), (t.hi - 3, t.hi + 1)):
+        with pytest.raises(ValueError, match="does not cover"):
+            t.span(lo, hi)
+
+
 def test_spf_marker_means_window_prime(table_full_1e6):
     # a least prime factor above sqrt(hi - 1) marks a prime; p_minus
     # dividing n is checked by test_window_stats_consistent_exhaustive

@@ -147,6 +147,17 @@ def test_divisor_budget_error():
         weights.MAX_DIVISORS = old
 
 
+def test_early_budget_refusal_rejects_only_what_the_enumeration_would():
+    # R >= 2 * MAX_DIVISORS is refused before any sieving; that is sound because
+    # Q(2 * MAX_DIVISORS), the number of squarefree d up to it, already exceeds
+    # the budget: Q(x) = sum over d <= sqrt(x) of mu(d) floor(x / d^2)
+    import sympy
+
+    x = 2 * weights.MAX_DIVISORS
+    q = sum(int(sympy.mobius(d)) * (x // (d * d)) for d in range(1, math.isqrt(x) + 1))
+    assert q > weights.MAX_DIVISORS
+
+
 def test_same_divisors_without_prime_shift(table_full_1e6):
     # when n + h is a prime above R, dropping h from the tuple leaves the
     # set of squarefree divisors d <= R of the shifted product unchanged
