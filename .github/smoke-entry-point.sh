@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Smoke-run the installed primegaps entry point; writes scratch files to $1 (default: a temp dir).
+set -euo pipefail
+tmp=${1:-$(mktemp -d)}
+# every CSV row after the manifest line is as long as the header
+rows_ok='import csv, sys; h, *r = csv.reader(sys.stdin.read().splitlines()[1:]); sys.exit(not r or any(len(x) != len(h) for x in r))'
+primegaps tuple --k 6 --format csv | python -c "$rows_ok"
+primegaps weights --n-window 1000 --k 3 --l 1 --big-r 5.6 --format csv | python -c "$rows_ok"
+primegaps density --r 3 --eps 0.3 --format csv | python -c "$rows_ok"
+primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --format csv | python -c "$rows_ok"
+primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
+rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usage.err" || rc=$?
+test "$rc" -eq 2
+grep -q "primegaps s-stat: error:" "$tmp/usage.err"
+# a prime sieve larger than physical memory is refused with an error line, not a traceback
+rc=0; primegaps singular-series --k 3 --p-max 100000000000 2> "$tmp/oversized.err" || rc=$?
+test "$rc" -eq 1
+grep -q "^error:" "$tmp/oversized.err"
+if grep -q "Traceback" "$tmp/oversized.err"; then exit 1; fi

@@ -160,13 +160,12 @@ def weighted_discrepancy(
     # g(n) = sum_{n = m p} f(m); a product m p with gcd(m, q) > 1 falls in a
     # class that is not coprime to q, so it drops out of every row maximum
     g = np.zeros(N + 1)
-    main_terms = []
     for m, fm in enumerate(f[:m_max].tolist(), start=1):
-        main_terms.append(fm * log_integral(max(N / m, 2.0)))
         if fm:
             g[m * primes[: np.searchsorted(primes, N // m, side="right")]] += fm
     support = np.flatnonzero(g).astype(np.int32 if N < 2**31 else np.int64)
     g_vals = g[support]
     del g  # keep only the support of g through the per-q passes
+    main_terms = f[:m_max] * log_integral(np.maximum(N / np.arange(1, m_max + 1), 2.0))
     rep = _discrepancy(support, g_vals, cfg.q_max, math.fsum(main_terms))
     return replace(rep, main_term_used=log_integral(N))

@@ -2,12 +2,15 @@ import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import primegaps
 from primegaps import cli
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
@@ -153,12 +156,29 @@ def test_warnings_print_without_source_path(capsys):
         assert "cli.py" not in err
 
 
-def test_cli_import_loads_no_quadrature_or_optimizer():
+def _fresh_python(code):
+    """Run code in a new interpreter that imports primegaps from where this one does."""
+    path = [str(Path(primegaps.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_scipy():
     # a fresh interpreter, since this one may have imported scipy already
-    code = ("import sys, primegaps.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    out = _fresh_python("import sys, primegaps.cli; "
+                        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
+def test_cli_runs_with_scipy_blocked():
+    # with scipy made unimportable, every subcommand that computes Li or C0 still runs
+    argvs = [[cmd, *SUBCOMMANDS[cmd], "--timestamp", TS]
+             for cmd in ("bv", "bv-star", "bv-weighted", "density", "weights")]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from primegaps.cli import main\n"
+            f"print([main(argv) for argv in {argvs!r}], file=sys.stderr)")
+    out = _fresh_python(code)
+    assert out.returncode == 0 and out.stderr.endswith("[0, 0, 0, 0, 0]\n"), out.stderr
 
 
 def test_bv_rows(capsys):

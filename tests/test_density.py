@@ -3,12 +3,35 @@ import tracemalloc
 
 import pytest
 from scipy import integrate
+from scipy.fft import next_fast_len
 
 from oracles import c0_r2, c0_r3  # perfbench/oracles.py, on the path via conftest.py
-from primegaps.density import c0, c0_monte_carlo, c0_tail_sum, c0_upper_bound
+from primegaps.density import (
+    R_MAX,
+    _GRIDS,
+    _smooth_len,
+    c0,
+    c0_monte_carlo,
+    c0_tail_sum,
+    c0_upper_bound,
+)
 
 # pinned by adaptive quadrature, cross-checked by Monte Carlo below
 C0_3_01 = 0.0225234703676394
+
+# float.hex(c0(r, 0.3).value) for r = 2..8 with FFT lengths from scipy.fft.next_fast_len
+C0_HEX_03 = ("0x1.35891deb9a3b1p-1", "0x1.a2a861b67df29p-3", "0x1.2af43bd01ae2bp-4",
+             "0x1.945f803653489p-6", "0x1.0c5fbe0d1138fp-7", "0x1.5e6bcd5e7bf68p-9",
+             "0x1.c484310933069p-11")
+
+
+def test_smooth_len_matches_scipy():
+    lengths = [*range(1, 20000), *(r * (m - 1) + 1 for r in range(2, R_MAX + 1) for m in _GRIDS)]
+    assert [_smooth_len(n) for n in lengths] == [next_fast_len(n, real=True) for n in lengths]
+
+
+def test_c0_bits_pinned():
+    assert tuple(float.hex(c0(r, 0.3).value) for r in range(2, 9)) == C0_HEX_03
 
 
 def test_degenerate_box_is_zero():

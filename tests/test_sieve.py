@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,14 +283,42 @@ def test_phi_examples_and_divisor_sum(table_full_1e6):
 
 
 def test_log_integral_values():
-    assert log_integral(2) == 0.0
-    with pytest.raises(ValueError):
-        log_integral(1.5)
+    assert log_integral(2) == 0.0 and type(log_integral(2)) is float
+    assert log_integral(np.array([2.0, 3.0, 2.0]))[[0, 2]].tolist() == [0.0, 0.0]
+    assert log_integral(np.empty(0)).shape == (0,)
+    for bad in (1.5, 0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            log_integral(bad)
+        with pytest.raises(ValueError):
+            log_integral(np.array([3.0, bad, 10.0]))
     assert math.isclose(log_integral(10**4), LI_1E4, rel_tol=1e-12)
     assert math.isclose(log_integral(10**6), LI_1E6, rel_tol=1e-12)
     # sanity against prime counts
     assert abs(log_integral(10**4) - 1229) < 20
     assert abs(log_integral(10**6) - 78498) < 300
+
+
+def test_log_integral_matches_mpmath():
+    xs = np.geomspace(2, 1e18, 400)
+    got = log_integral(xs)
+    with mpmath.workdps(40):
+        li2 = mpmath.li(2)
+        for x, v in zip(xs.tolist(), got.tolist()):
+            ref = mpmath.li(x) - li2
+            assert v == 0.0 if x == 2 else abs(v - ref) <= 1e-14 * ref, x
+
+
+def test_log_integral_scalar_equals_array_element():
+    # bv-weighted's main_term_used is a scalar call, its per-m terms one array call
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 7, 8, 9, 31, 1000):
+        xs = np.exp(rng.uniform(math.log(2), math.log(1e18), size))
+        arr = log_integral(xs)
+        assert [log_integral(x) for x in xs.tolist()] == arr.tolist()
+    N = 10**6
+    per_m = log_integral(np.maximum(N / np.arange(1, 1001), 2.0))
+    assert per_m[0] == log_integral(N)
+    assert per_m[-1] == log_integral(N / 1000)
 
 
 def test_factorization_validates_itself():
