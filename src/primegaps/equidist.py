@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import balanced, density
-from .sieve import FactorTable, log_integral
+from .sieve import FactorTable, log_integral, window_dtype
 
 PRIMES_LE_N = "primes_le_N"
 STAR_SET_WINDOW = "star_set_window"
@@ -163,7 +163,7 @@ def weighted_discrepancy(
     for m, fm in enumerate(f[:m_max].tolist(), start=1):
         if fm:
             g[m * primes[: np.searchsorted(primes, N // m, side="right")]] += fm
-    support = np.flatnonzero(g).astype(np.int32 if N < 2**31 else np.int64)
+    support = np.flatnonzero(g).astype(window_dtype(N + 1))
     g_vals = g[support]
     del g  # keep only the support of g through the per-q passes
     main_terms = f[:m_max] * log_integral(np.maximum(N / np.arange(1, m_max + 1), 2.0))

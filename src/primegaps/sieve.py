@@ -6,9 +6,10 @@ prime factor and number of prime factors counted with multiplicity, built
 by a segmented Eratosthenes-style pass.  Within each SEGMENT the primes up
 to SMALL_P, which hit most of the entries, are walked one cache-sized
 BLOCK at a time, so their passes stay in cache; the larger primes walk the
-whole segment.  The cofactor left after dividing out the sieving primes is
-held in int32 while the window stays below 2^31, and P^- starts at the
-UNSET sentinel and is lowered by one in-place minimum per prime.
+whole segment.  Below 2^31 the table's P^- and P^+ and the cofactor left
+after dividing out the sieving primes are int32, above it int64
+(window_dtype); Omega is int8.  P^- starts at its dtype's maximum and is
+lowered by one in-place minimum per prime.
 
 All downstream window scans (balance classification, star-set counts,
 weight sums, discrepancy sums) read these arrays through FactorTable.span,
@@ -33,7 +34,6 @@ import numpy as np
 SEGMENT = 1 << 22  # integers per sieve segment
 BLOCK = 1 << 17  # integers per cache-sized block of the small-prime walk
 SMALL_P = 256  # primes up to this are walked one BLOCK at a time
-UNSET = np.iinfo(np.int64).max  # p_minus of an entry no sieving prime divides yet
 CHUNK = 1 << 20  # integers per chunk of the window scans above the table
 
 _LI_OFFSET = 1.045163780117493  # li(2), subtracted so Li(2) = 0
@@ -113,9 +113,9 @@ class FactorTable:
 
     Attributes:
         lo, hi: window bounds, 2 <= lo < hi, hi exclusive.
-        p_minus: int64 array, least prime factor of lo + i.
-        p_plus: int64 array, greatest prime factor of lo + i.
-        omega: int16 array, Omega(lo + i) with multiplicity.
+        p_minus: least prime factor of lo + i, int32 for hi <= 2^31, else int64.
+        p_plus: greatest prime factor of lo + i, same dtype as p_minus.
+        omega: int8 array, Omega(lo + i) with multiplicity (at most 62 below 2^63).
         primes: primes <= sqrt(hi - 1), used for out-of-window quotients.
 
     An entry whose least prime factor exceeds sqrt(hi - 1) is a prime.
@@ -156,14 +156,16 @@ def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
             q *= p
 
 
-def _residual_dtype(hi: int):
-    return np.int32 if hi <= 2**31 else np.int64  # residual cofactors of a window below hi
+def window_dtype(hi: int):
+    """int32 if it holds every integer below hi, else int64: table P^-, P^+, residuals and indices."""
+    return np.int32 if hi <= 2**31 else np.int64
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
     """Fill factor stats for [lo, hi) in place: small primes block by block, then the rest."""
-    rem = np.arange(lo, hi, dtype=_residual_dtype(hi))
-    pmin.fill(UNSET)
+    rem = np.arange(lo, hi, dtype=pmin.dtype)
+    unset = np.iinfo(pmin.dtype).max
+    pmin.fill(unset)
     small = np.searchsorted(primes, SMALL_P, side="right")
     for a in range(0, hi - lo, BLOCK):
         b = min(a + BLOCK, hi - lo)
@@ -173,33 +175,35 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
     _walk(lo, hi, primes[small:], rem, pmin, pmax, omega)
     # Residual cofactors: after removing all prime factors <= sqrt(hi),
     # what remains is either 1 or a single prime > sqrt(hi).  An unset pmin
-    # means no prime <= sqrt(hi) divides n, so n = rem is itself prime.
+    # means no prime <= sqrt(hi) divides n, so n = rem is itself prime; the
+    # copy also holds for the prime n = 2^31 - 1, which equals the int32 fill.
     left = rem > 1
     omega += left
     np.copyto(pmax, rem, where=left)
-    np.copyto(pmin, rem, where=pmin == UNSET)
+    np.copyto(pmin, rem, where=pmin == unset)
 
 
 def table_nbytes(lo: int, hi: int) -> int:
     """Bytes held by build_factor_table(lo, hi), with 64 KiB for its array headers and ufunc buffers."""
-    outputs = 18 * (hi - lo)  # int64 p_minus and p_plus, int16 omega
-    scratch = min(hi - lo, SEGMENT) * (np.dtype(_residual_dtype(hi)).itemsize + 2)  # and two bool masks
+    width = np.dtype(window_dtype(hi)).itemsize
+    outputs = (2 * width + 1) * (hi - lo)  # P^-, P^+ and int8 omega: 9 B below 2^31, 17 above
+    scratch = min(hi - lo, SEGMENT) * (width + 2)  # residual cofactors and two bool masks
     return outputs + scratch + primes_nbytes(math.isqrt(hi - 1)) + (1 << 16)
 
 
 def build_factor_table(lo: int, hi: int) -> FactorTable:
     """Build the factor table for the window [lo, hi).
 
-    Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 18 bytes
-    per integer (int64 p_minus and p_plus, int16 omega), written in place
-    one SEGMENT at a time, so the scratch is bounded by the segment: the
-    residual cofactors (int32 for hi <= 2^31, else int64) and two bool
-    masks, 24 MiB below 2^31 and 40 MiB above.  The build is refused before
-    allocating when that total, table_nbytes, exceeds physical memory.
-    Each segment walks the primes <= SMALL_P one BLOCK at a time, then the
-    rest; p_minus starts at UNSET and entries still UNSET after the walk
-    are primes.  Deterministic: rebuilding any sub-window yields identical
-    entries.
+    Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 9 bytes
+    per integer below 2^31 and 17 above (p_minus and p_plus in window_dtype,
+    int8 omega), written in place one SEGMENT at a time, so the scratch is
+    bounded by the segment: the residual cofactors (window_dtype too) and
+    two bool masks, 24 MiB below 2^31 and 40 MiB above.  The build is
+    refused before allocating when that total, table_nbytes, exceeds
+    physical memory.  Each segment walks the primes <= SMALL_P one BLOCK at
+    a time, then the rest; p_minus starts at its dtype's maximum and entries
+    still there after the walk are primes.  Deterministic: rebuilding any
+    sub-window yields identical values.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
@@ -208,9 +212,9 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     check_fits(table_nbytes(lo, hi))
     size = hi - lo
     primes = primes_up_to(math.isqrt(hi - 1))
-    pmin = np.empty(size, dtype=np.int64)
-    pmax = np.zeros(size, dtype=np.int64)
-    omega = np.zeros(size, dtype=np.int16)
+    pmin = np.empty(size, dtype=window_dtype(hi))
+    pmax = np.zeros(size, dtype=window_dtype(hi))
+    omega = np.zeros(size, dtype=np.int8)
     for seg_lo in range(lo, hi, SEGMENT):
         seg_hi = min(seg_lo + SEGMENT, hi)
         a, b = seg_lo - lo, seg_hi - lo

@@ -21,6 +21,7 @@ star-set members) multiplies the latter by 1 + C0(r, eps).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -223,8 +224,10 @@ def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
         )
 
 
-def _series_value(cfg: WeightConfig) -> float:
-    return singular_series(cfg.H, SERIES_P_MAX).value
+@functools.lru_cache(maxsize=64)
+def _series_value(H: AdmissibleTuple) -> float:
+    """The singular series of H at SERIES_P_MAX, computed once per tuple."""
+    return singular_series(H, SERIES_P_MAX).value
 
 
 def check_moment_args(
@@ -275,7 +278,7 @@ def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
     _range_warnings(N, cfg, quarter=False)
     empirical = _window_fsum(N, cfg, table, lambda w, a, b: w * w)
-    s_h = _series_value(cfg)
+    s_h = _series_value(cfg.H)
     return _report(
         N, cfg, LEMMA1, empirical, _lemma1_main(N, cfg, s_h),
         singular_series=s_h, degenerate=s_h == 0.0,
@@ -294,7 +297,7 @@ def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> Mome
     empirical = _window_fsum(
         N, cfg, table, lambda w, a, b: w * w * _prime_indicator(N, h, table, a, b)
     )
-    s_h = _series_value(cfg)
+    s_h = _series_value(cfg.H)
     return _report(N, cfg, LEMMA2, empirical, _lemma2_main(N, cfg, s_h), h=h, singular_series=s_h)
 
 
@@ -329,7 +332,7 @@ def moment_lemma3(
     empirical = _window_fsum(
         N, cfg, table, lambda w, a, b: w * w * _wide_indicator(N, h, smask, table, a, b)
     )
-    s_h = _series_value(cfg)
+    s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
         N, cfg, LEMMA3, empirical, _lemma2_main(N, cfg, s_h, 1.0 + c0v),
@@ -357,7 +360,7 @@ def s_statistic(
         return (hits - 1.0) * w * w
 
     empirical = _window_fsum(N, cfg, table, term)
-    s_h = _series_value(cfg)
+    s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
         N, cfg, S_STATISTIC, empirical,

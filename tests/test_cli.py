@@ -265,7 +265,7 @@ def test_computation_error_exit_1(capsys):
 
 
 def test_oversized_window_fails_before_allocating(capsys):
-    # 18 bytes per table integer at N = 1e12 exceeds any physical memory, and
+    # 17 bytes per table integer at N = 1e12 exceeds any physical memory, and
     # so do the prime sieves to 1e12 or more; the estimate is refused before
     # the table, the sieve or a float vector exists
     tup = ["--k", "3", "--l", "1", "--big-r", "10"]

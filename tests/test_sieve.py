@@ -136,22 +136,39 @@ def _table_bytes(t):
     return [(a.dtype, a.tobytes()) for a in (t.p_minus, t.p_plus, t.omega)]
 
 
-def test_int32_residual_switch_against_sympy():
-    # the residual cofactor is int32 up to hi = 2^31 and int64 above, so a
-    # window across 2^31 must agree with an oracle and with its two halves
+def _assert_matches_sympy(t):
     import sympy
 
+    for n in range(t.lo, t.hi):
+        f = sympy.factorint(n)
+        i = n - t.lo
+        assert (t.omega[i], t.p_minus[i], t.p_plus[i]) == (sum(f.values()), min(f), max(f)), n
+
+
+def test_int32_residual_switch_against_sympy():
+    # P+- and the residual cofactor are int32 up to hi = 2^31 and int64
+    # above, so a window across 2^31 must agree with an oracle and, value
+    # for value, with its two halves
     lo, mid, hi = 2**31 - 2**12, 2**31, 2**31 + 2**12
     t = build_factor_table(lo, hi)
-    assert (t.p_minus.dtype, t.p_plus.dtype, t.omega.dtype) == (np.int64, np.int64, np.int16)
-    for n in range(lo, hi):
-        f = sympy.factorint(n)
-        i = n - lo
-        assert (t.omega[i], t.p_minus[i], t.p_plus[i]) == (sum(f.values()), min(f), max(f)), n
-    assert t.omega[mid - 1 - lo] == 1 and t.p_minus[mid - 1 - lo] == 2**31 - 1
     below, above = build_factor_table(lo, mid), build_factor_table(mid, hi)
-    for whole, a, b in zip(_table_bytes(t), _table_bytes(below), _table_bytes(above)):
-        assert whole == (a[0], a[1] + b[1])
+    assert (t.p_minus.dtype, t.p_plus.dtype, t.omega.dtype) == (np.int64, np.int64, np.int8)
+    assert (below.p_minus.dtype, below.p_plus.dtype, below.omega.dtype) == (np.int32, np.int32, np.int8)
+    assert (above.p_minus.dtype, above.p_plus.dtype, above.omega.dtype) == (np.int64, np.int64, np.int8)
+    _assert_matches_sympy(t)
+    assert t.omega[mid - 1 - lo] == 1 and t.p_minus[mid - 1 - lo] == 2**31 - 1
+    for name in ("p_minus", "p_plus", "omega"):
+        whole, a, b = (getattr(x, name) for x in (t, below, above))
+        assert np.array_equal(whole, np.concatenate([a, b])), name
+
+
+def test_int32_window_ending_at_the_fill_value_against_sympy():
+    # the last entry, the prime 2^31 - 1, equals the int32 fill of p_minus;
+    # the window's other primes show a fix-up that misses that fill
+    t = build_factor_table(2**31 - 2**12, 2**31)
+    assert (t.p_minus.dtype, t.p_plus.dtype, t.omega.dtype) == (np.int32, np.int32, np.int8)
+    _assert_matches_sympy(t)
+    assert (t.omega[-1], t.p_minus[-1], t.p_plus[-1]) == (1, 2**31 - 1, 2**31 - 1)
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 2**16), (2, 10**5), (10**6, 2 * 10**6 + 9)])
@@ -164,14 +181,15 @@ def test_block_and_segment_sizes_do_not_change_the_table(monkeypatch, lo, hi):
 
 
 def test_build_scratch_is_bounded_by_the_segment():
-    # the tracemalloc peak beyond the 18-byte-per-integer outputs is the
+    # the tracemalloc peak beyond the table's output arrays is the
     # per-segment scratch: at most 40 MiB, and the same at N = 2^22 and 2^23
     scratch = {}
     for N in (2**22, 2**23):
         tracemalloc.start()
         try:
             t = build_factor_table(N, 2 * N)
-            scratch[N] = tracemalloc.get_traced_memory()[1] - 18 * N
+            outputs = t.p_minus.nbytes + t.p_plus.nbytes + t.omega.nbytes
+            scratch[N] = tracemalloc.get_traced_memory()[1] - outputs
         finally:
             tracemalloc.stop()
         del t
