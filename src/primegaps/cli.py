@@ -94,12 +94,12 @@ def _emit(args, summary: dict, columns: dict) -> None:
 
 
 def _load_tuple(args) -> tuples.AdmissibleTuple:
-    if getattr(args, "tuple_file", None):
+    if args.tuple_file:
         ts = tuples.read_tuple_file(args.tuple_file)
         if not ts:
             raise ValueError(f"no tuples found in {args.tuple_file}")
         return ts[0]
-    if getattr(args, "k", None):
+    if args.k is not None:
         return tuples.generate_tuple(args.k)
     raise ValueError("provide --tuple-file or --k")
 

@@ -147,6 +147,8 @@ def weighted_discrepancy(
     maximized over a coprime to q; classes with gcd(m, q) > 1 contribute
     no primes but keep their main term, exactly as the sum is written.
     """
+    if cfg.target != PRIMES_LE_N:
+        raise ValueError("config target must be primes_le_N")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need alpha in (0, 1), got {alpha}")
     N = cfg.N
@@ -156,7 +158,7 @@ def weighted_discrepancy(
         raise ValueError(f"need f values for m = 1..{m_max}, got {f.size}")
     if not np.all(np.isfinite(f[:m_max])) or np.abs(f[:m_max]).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("f must be finite with |f(m)| <= 1")
-    primes = _target_values(DiscrepancyConfig(N=N, q_max=cfg.q_max), table)
+    primes = _target_values(cfg, table)
     # g(n) = sum_{n = m p} f(m); a product m p with gcd(m, q) > 1 falls in a
     # class that is not coprime to q, so it drops out of every row maximum
     g = np.zeros(N + 1)

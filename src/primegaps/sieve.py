@@ -1,4 +1,4 @@
-"""Segmented smallest-prime-factor sieve over a window, plus mu, phi and Li.
+"""Segmented smallest-prime-factor sieve over a window, plus factorization, mu and Li.
 
 The FactorTable is the factorization backbone for the whole package: it
 stores, for every integer in [lo, hi), its least prime factor, greatest
@@ -129,11 +129,6 @@ class FactorTable:
     omega: np.ndarray
     primes: np.ndarray
 
-    def index(self, n: int) -> int:
-        if not (self.lo <= n < self.hi):
-            raise ValueError(f"n={n} outside table window [{self.lo}, {self.hi})")
-        return n - self.lo
-
     def span(self, lo: int, hi: int) -> slice:
         """The offsets of [lo, hi) in the table's arrays; raises unless the table covers it."""
         if lo < self.lo or hi > self.hi:
@@ -241,7 +236,7 @@ def factorize(table: FactorTable, n: int) -> Factorization:
     over the table's small-prime list, which always reaches sqrt of any
     quotient since quotients stay below hi.
     """
-    idx = table.index(n)  # raises for out-of-window n, including n = 1
+    idx = table.span(n, n + 1).start  # raises for out-of-window n, including n = 1
     factors: list[tuple[int, int]] = []
     cur = n
     while cur > 1:
@@ -249,6 +244,8 @@ def factorize(table: FactorTable, n: int) -> Factorization:
             p = int(table.p_minus[cur - table.lo])
         else:
             p = _trial_spf(cur, table.primes)
+        if p < 2 or cur % p:
+            raise ArithmeticError(f"table gives P^-({cur}) = {p}, which does not divide it")
         e = 0
         while cur % p == 0:
             cur //= p
@@ -268,14 +265,6 @@ def mobius(f: Factorization) -> int:
         if e >= 2:
             return 0
     return -1 if len(f.factors) % 2 else 1
-
-
-def euler_phi(f: Factorization) -> int:
-    """Euler totient, computed in exact integer arithmetic."""
-    out = 1
-    for p, e in f.factors:
-        out *= p ** (e - 1) * (p - 1)
-    return out
 
 
 def log_integral(x: float | np.ndarray) -> float | np.ndarray:

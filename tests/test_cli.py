@@ -181,6 +181,19 @@ def test_cli_runs_with_scipy_blocked():
     assert out.returncode == 0 and out.stderr.endswith("[0, 0, 0, 0, 0]\n"), out.stderr
 
 
+def test_submodule_imports_load_only_what_they_use():
+    # the package namespace re-exports nothing, so importing one submodule
+    # loads only it and the submodules it imports
+    code = ("import sys, primegaps.{}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'primegaps'))")
+    out = _fresh_python(code.format("density"))
+    assert (out.returncode, out.stdout) == (0, "['primegaps', 'primegaps.density']\n"), out.stderr
+    out = _fresh_python(code.format("cli"))
+    mods = ["primegaps"] + [f"primegaps.{m}" for m in
+                            ("balanced", "cli", "density", "equidist", "sieve", "tuples", "weights")]
+    assert (out.returncode, out.stdout) == (0, f"{mods}\n"), out.stderr
+
+
 def test_bv_rows(capsys):
     doc = run_json(capsys, "bv", "--n-window", "1000", "--q-max", "5")
     assert len(doc["rows"]) == 5
@@ -236,6 +249,11 @@ def test_computation_error_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
     rc = main(["classify", "--n", "1"])
     assert rc == 1
+    assert capsys.readouterr().err == "error: table [2, 3) does not cover [1, 2)\n"
+    # k = 0 reaches the tuple generator's check, not the missing-option message
+    for cmd in (["weights", "--n-window", "100", "--l", "1", "--big-r", "10"], ["singular-series"]):
+        assert main([*cmd, "--k", "0"]) == 1
+        assert capsys.readouterr().err == "error: need k >= 1, got 0\n"
     rc = main(["density", "--r", "1000000", "--eps", "0.1"])
     assert rc == 1
     # r out of range, and an r or shift the moment sums reject, fail before

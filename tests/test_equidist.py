@@ -139,6 +139,11 @@ def test_weighted_validation(table_full_1e4):
     bad[0] = 2.0
     with pytest.raises(ValueError):
         weighted_discrepancy(cfg, 0.5, bad, table_full_1e4)
+    # a star-set config is refused, not silently read as the primes <= N
+    star = DiscrepancyConfig(N=N, q_max=5, target=STAR_SET_WINDOW,
+                             spec=StarSetSpec(N=N, r=2, eps=0.3))
+    with pytest.raises(ValueError, match="config target must be primes_le_N"):
+        weighted_discrepancy(star, 0.5, np.ones(int(N**0.5)), table_full_1e4)
 
 
 def test_weighted_mobius_pinned(table_full_1e5):

@@ -14,7 +14,6 @@ from primegaps.sieve import (
     SEGMENT,
     Factorization,
     build_factor_table,
-    euler_phi,
     factorize,
     log_integral,
     mobius,
@@ -77,10 +76,10 @@ def test_factorize_against_trial_division_oracle():
 
 
 def test_factorize_rejects_out_of_window(table_full_1e6):
-    with pytest.raises(ValueError):
-        factorize(table_full_1e6, 1)
-    with pytest.raises(ValueError):
-        factorize(table_full_1e6, 10**7)
+    t = table_full_1e6
+    for n in (1, t.hi, 10**7):
+        with pytest.raises(ValueError, match="does not cover"):
+            factorize(t, n)
 
 
 def test_window_stats_consistent_exhaustive(table_full_1e6):
@@ -283,23 +282,6 @@ def test_mobius_divisor_sum_identity():
     assert (acc[2:] == 0).all()
 
 
-def test_phi_examples_and_divisor_sum(table_full_1e6):
-    t = table_full_1e6
-    assert euler_phi(Factorization(1, ())) == 1
-    assert euler_phi(factorize(t, 10)) == 4
-    assert euler_phi(factorize(t, 97)) == 96
-    limit = 10**5
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_up_to(limit):
-        phi[p::p] -= phi[p::p] // p
-    for n in range(1, 10**4 + 1):
-        assert euler_phi(factorize(t, n) if n > 1 else Factorization(1, ())) == phi[n]
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        acc[d::d] += phi[d]
-    assert (acc[1:] == np.arange(1, limit + 1)).all()
-
-
 def test_log_integral_values():
     assert log_integral(2) == 0.0 and type(log_integral(2)) is float
     assert log_integral(np.array([2.0, 3.0, 2.0]))[[0, 2]].tolist() == [0.0, 0.0]
@@ -352,3 +334,10 @@ def test_factorize_rejects_tampered_table(table_full_1e4):
     tampered[60 - t.lo] += 1
     with pytest.raises(ArithmeticError):
         factorize(dataclasses.replace(t, omega=tampered), 60)
+    # a recorded P^- that does not divide the quotient, or is not >= 2,
+    # is refused rather than looped on
+    for bad in (1, 7):
+        tampered = t.p_minus.copy()
+        tampered[60 - t.lo] = bad
+        with pytest.raises(ArithmeticError):
+            factorize(dataclasses.replace(t, p_minus=tampered), 60)
