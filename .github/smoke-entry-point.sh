@@ -7,6 +7,12 @@ rows_ok='import csv, sys; h, *r = csv.reader(sys.stdin.read().splitlines()[1:]);
 primegaps tuple --k 6 --format csv | python -c "$rows_ok"
 primegaps weights --n-window 1000 --k 3 --l 1 --big-r 5.6 --format csv | python -c "$rows_ok"
 primegaps density --r 3 --eps 0.3 --format csv | python -c "$rows_ok"
+# 10000 rows cross the writer's row blocks
+primegaps weights --n-window 10000 --k 3 --l 1 --big-r 10 --format csv | python -c "$rows_ok"
+primegaps weights --n-window 10000 --k 3 --l 1 --big-r 10 --format csv \
+  | python -c 'import sys; sys.exit(len(sys.stdin.read().splitlines()) != 2 + 10000)'
+primegaps weights --n-window 10000 --k 3 --l 1 --big-r 10 \
+  | python -c 'import json, sys; sys.exit(len(json.load(sys.stdin)["rows"]) != 10000)'
 primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --format csv | python -c "$rows_ok"
 primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usage.err" || rc=$?

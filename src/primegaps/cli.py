@@ -1,12 +1,14 @@
 """Command-line front end: every subsystem as a subcommand with CSV/JSON output.
 
-Each subcommand returns a summary and, when it has rows, the row columns;
-`main` checks every float in them once, then writes them row by row, so no
-output is written when a value is not finite.  Every output embeds a run
-manifest (subcommand, parameters, seed, version, timestamp); re-running with
-an identical manifest reproduces the output byte-for-byte.  CSV files carry
-the manifest as a leading '#' comment line, print numerics with 15
-significant digits and quote fields that contain commas (a tuple's offsets).
+Each subcommand returns a summary and, when it has rows, the row columns,
+each a numpy array, a range or a list of one scalar type; `main` checks every
+float in them once, so no output is written when a value is not finite, then
+writes the rows in blocks of BLOCK_ROWS, each formatted into one string.
+Every output embeds a run manifest (subcommand, parameters, seed, version,
+timestamp); re-running with an identical manifest reproduces the output
+byte-for-byte.  CSV files carry the manifest as a leading '#' comment line,
+print numerics with 15 significant digits and quote fields that contain
+commas (a tuple's offsets).
 
 Exit codes: 0 success, 1 computation error (including a run too large for
 physical memory, refused before allocating), 2 usage error.
@@ -43,9 +45,8 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
 
 
-# json writes a finite float or an int with float.__repr__ or int.__repr__; the
-# rows call these directly, since json.dumps sets up an encoder on every call
-_JSON_REPR = {float: float.__repr__, int: int.__repr__}
+# rows are formatted and written this many at a time
+BLOCK_ROWS = 4096
 
 
 def _fmt(v) -> str:
@@ -56,40 +57,72 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _is_float_column(values) -> bool:
+    """Whether a row column holds floats; raises when one of them is not finite."""
+    if isinstance(values, range):
+        return False
+    if isinstance(values, np.ndarray):
+        floats = values.dtype.kind == "f"
+        # the extremes are NaN when any value is and infinite when one is, and
+        # need no N-sized bool temporary
+        finite = not floats or bool(np.isfinite((values.min(), values.max())).all())
+    else:  # a short list
+        floats = [v for v in values if isinstance(v, float)]
+        finite = all(map(math.isfinite, floats))
+    if not finite:
+        raise ValueError("non-finite value in output")
+    return bool(floats)
+
+
+def _row_blocks(columns: list):
+    """The rows of equal-length columns, BLOCK_ROWS at a time, as tuples of Python scalars."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        block = (c[lo : lo + BLOCK_ROWS] for c in columns)
+        yield zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+
+
 def _emit(args, summary: dict, columns: dict) -> None:
     """Check every float of a subcommand's (summary, columns), then write them.
 
-    columns maps each row field to an equal-length, re-iterable sequence ({}
-    without rows: CSV then writes the summary as its one row); JSON rows are
-    laid out as json.dumps(indent=2, sort_keys=True) would, one at a time.
+    columns maps each row field to a typed column of equal length ({} without
+    rows: CSV then writes the summary as its one row): a numpy array, a range,
+    or a list of one scalar type.  Rows go out BLOCK_ROWS at a time, each
+    filling one %-template: JSON in the layout of json.dumps(indent=2,
+    sort_keys=True), floats by %r (float.__repr__, as json writes them); CSV
+    floats by %.15g, the same digits as _fmt.  Numeric fields need no CSV
+    quoting.
     """
-    for values in (summary.values(), *columns.values()):
-        for v in values:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("non-finite value in output")
+    for v in summary.values():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError("non-finite value in output")
     has_rows = len(next(iter(columns.values()), ())) > 0
+    is_float = {k: _is_float_column(c) for k, c in columns.items()} if has_rows else {}
     manifest = _manifest(args)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         if args.format == "csv":
             out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
             writer = csv.writer(out, lineterminator="\n")
-            header, rows = (columns, zip(*columns.values())) if has_rows else (summary, [summary.values()])
-            writer.writerow(header)
-            writer.writerows(map(_fmt, row) for row in rows)
+            if not has_rows:
+                writer.writerows([summary, map(_fmt, summary.values())])
+                return
+            writer.writerow(columns)
+            row = ",".join("%.15g" if is_float[k] else "%d" for k in columns) + "\n"
+            for block in _row_blocks(list(columns.values())):
+                out.write("".join(map(row.__mod__, block)))
             return
         head = json.dumps({"manifest": manifest, "results": summary}, indent=2, sort_keys=True)
         if not has_rows:
             out.write(head + "\n")
             return
         keys = sorted(columns)
-        fields = [f"\n      {json.dumps(k)}: " for k in keys]
+        fields = (f"\n      {json.dumps(k)}: %{'r' if is_float[k] else 'd'}" for k in keys)
+        row = "\n    {" + ",".join(fields) + "\n    }"
         # "rows" sorts after "manifest" and "results": reopen the head before its closing "\n}"
         out.write(head[:-2] + ',\n  "rows": [')
-        sep = "\n    {"
-        for row in zip(*(columns[k] for k in keys)):
-            body = ",".join(f + _JSON_REPR.get(type(v), json.dumps)(v) for f, v in zip(fields, row))
-            out.write(sep + body + "\n    }")
-            sep = ",\n    {"
+        sep = ""
+        for block in _row_blocks([columns[k] for k in keys]):
+            out.write(sep + ",".join(map(row.__mod__, block)))
+            sep = ","
         out.write("\n  ]\n}\n")
 
 
@@ -197,12 +230,12 @@ def cmd_constants(args):
 def cmd_weights(args):
     cfg = _weight_config(args)
     N = args.n_window
-    # the vector and its tolist() (a 24 B float and an 8 B slot each) hold 40 B
-    # per integer; 48 B leaves room for the parser, the plan and the writer
-    check_fits(48 * N)
+    # the vector's 8 B per integer, and one block of rows as Python floats,
+    # row strings and the text written (under 1 MiB at BLOCK_ROWS = 4096)
+    check_fits(8 * N + (2 << 20))
     w = weights.lambda_r_batch(N, 2 * N, cfg)
     summary = {"N": N, "k": cfg.k, "l": cfg.l, "R": cfg.R, "count": len(w)}
-    return summary, {"n": range(N, 2 * N), "weight": w.tolist()}
+    return summary, {"n": range(N, 2 * N), "weight": w}
 
 
 def _moment_summary(rep: weights.MomentReport):
@@ -245,7 +278,7 @@ def _discrepancy(rep: equidist.DiscrepancyReport):
     fields = ["q", "worst_a", "max_abs_dev", "main_term"]
     if rep.per_q and rep.per_q[0].alt_max_abs_dev is not None:
         fields += ["alt_max_abs_dev", "alt_main_term"]
-    columns = {f: [getattr(r, f) for r in rep.per_q] for f in fields}
+    columns = {f: np.array([getattr(r, f) for r in rep.per_q]) for f in fields}
     return {"total": rep.total, "main_term_used": rep.main_term_used}, columns
 
 
@@ -307,7 +340,9 @@ def _add_weight_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--big-r", type=float, required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     # no prefix matching of long options: s-stat has no --h, and --h must not read as --help
     exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     ap = exact(prog="primegaps")

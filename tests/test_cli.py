@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -11,10 +12,14 @@ from pathlib import Path
 import pytest
 
 import primegaps
+import numpy as np
+
 from primegaps import cli
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
 from primegaps.sieve import build_factor_table, primes_up_to
+from primegaps.tuples import generate_tuple
+from primegaps.weights import WeightConfig, lambda_r_batch
 
 TS = "2024-01-01T00:00:00"
 
@@ -377,7 +382,8 @@ def test_non_finite_value_writes_nothing(capsys, tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_weights_peak_memory_is_within_the_guard(tmp_path, monkeypatch, fmt):
-    # the memory guard must charge at least what the weights subcommand holds
+    # the memory guard must charge at least what the weights subcommand holds,
+    # at two N so that both its per-integer and its fixed part are checked
     charged = []
     check = cli.check_fits
 
@@ -386,15 +392,86 @@ def test_weights_peak_memory_is_within_the_guard(tmp_path, monkeypatch, fmt):
         check(nbytes)
 
     monkeypatch.setattr(cli, "check_fits", spy)
-    N = 10**5
-    argv = ["weights", "--n-window", str(N), "--k", "3", "--l", "1", "--big-r", "316.2",
-            "--format", fmt, "--timestamp", TS, "--out", str(tmp_path / "w")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(charged) == 1
-    assert peak / N <= charged[0] / N
-    assert len((tmp_path / "w").read_text().splitlines()) > N
+    for N in (10**5, 4 * 10**5):
+        charged.clear()
+        argv = ["weights", "--n-window", str(N), "--k", "3", "--l", "1", "--big-r", "316.2",
+                "--format", fmt, "--timestamp", TS, "--out", str(tmp_path / "w")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        assert peak / N <= charged[0] / N
+        assert len((tmp_path / "w").read_text().splitlines()) > N
+
+
+B = cli.BLOCK_ROWS
+BLOCK_SIZES = [B - 1, B, B + 1, 2 * B + 3]
+
+
+def _weights_argv(N, fmt):
+    return ["weights", "--n-window", str(N), "--k", "3", "--l", "1", "--big-r", "10",
+            "--format", fmt, "--timestamp", TS]
+
+
+@pytest.mark.parametrize("N", BLOCK_SIZES)
+def test_weights_json_across_blocks_matches_the_encoder(capsys, N):
+    rc, out = run(capsys, *_weights_argv(N, "json"))
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert len(json.loads(out)["rows"]) == N
+
+
+@pytest.mark.parametrize("N", BLOCK_SIZES)
+def test_weights_csv_across_blocks_matches_row_by_row_writer(capsys, N):
+    rc, out = run(capsys, *_weights_argv(N, "csv"))
+    assert rc == 0
+    # the reference writes one row at a time with csv.writer and _fmt
+    w = lambda_r_batch(N, 2 * N, WeightConfig(H=generate_tuple(3), l=1, R=10.0))
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["n", "weight"])
+    for n, v in zip(range(N, 2 * N), w.tolist()):
+        writer.writerow([cli._fmt(n), cli._fmt(v)])
+    assert out.split("\n", 1)[1] == ref.getvalue()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_value_past_the_first_block_writes_nothing(capsys, tmp_path, fmt, bad):
+    N = 2 * B + 3
+    w = np.ones(N)
+    w[B + 5] = bad
+    out_file = tmp_path / "out"
+    for extra in ([], ["--out", str(out_file)]):
+        args = build_parser().parse_args(_weights_argv(N, fmt) + extra)
+        with pytest.raises(ValueError, match="non-finite value in output"):
+            cli._emit(args, {"N": N}, {"n": range(N, 2 * N), "weight": w})
+        assert capsys.readouterr().out == ""
+    assert not out_file.exists()
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    # usage text wraps at the terminal width: fix it for this process and the fresh ones
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["density", "--r", "2", "--eps", "0.1", "--timestamp", TS],
+             ["s-stat", "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5", "--h", "5"],
+             ["weights", "--n-window", "100", "--l", "1", "--big-r", "10", "--k", "0"],
+             ["density", "--r", "2", "--eps", "0.1", "--timestamp", TS]]
+    in_process = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err))
+    fresh = []
+    for argv in argvs:
+        out = _fresh_python(f"import sys; from primegaps.cli import main; sys.exit(main({argv!r}))")
+        fresh.append((out.returncode, out.stdout, out.stderr))
+    assert in_process == fresh
+    assert [rc for rc, _, _ in fresh] == [0, 2, 1, 0]
+    assert fresh[1][2].startswith("usage: primegaps s-stat")
