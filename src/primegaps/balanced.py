@@ -10,7 +10,10 @@ prime interval [N^a1, N^a2] with a1 = (1 - eps/2)/r, a2 = (1 + eps/2)/r.
 Boundary comparisons are done in log space with a fixed tie tolerance so
 that regression counts are floating-point deterministic; ties count as
 inside.  The window masks scan [N, 2N) one sieve.CHUNK at a time: each
-chunk gathers the n with Omega(n) = r and takes logs of P^-(n) and P^+(n)
+chunk gathers the n with Omega(n) = r whose P^-(n) reaches an integer
+floor below which the predicate is provably false (N^a1 for the star set;
+N^((1-eps)/r) for balance, since P^+(n) >= n^(1/r) >= N^(1/r)), each less
+TIE_TOL and a 1e-9 relative margin, and takes logs of P^-(n) and P^+(n)
 only there.  n = 1 is not eps-balanced for any eps.
 """
 
@@ -108,17 +111,21 @@ def in_star_set(f: Factorization, spec: StarSetSpec) -> bool:
     return _in_interval(math.log(f.p_minus), math.log(f.p_plus), spec)
 
 
-def _omega_r_mask(table: FactorTable, N: int, r: int, predicate) -> np.ndarray:
+def _omega_r_mask(table: FactorTable, N: int, r: int, predicate, floor_exp: float) -> np.ndarray:
     """Mask over [N, 2N) of Omega(n) = r with predicate(ln P^-, ln P^+) true.
 
-    Scanned one sieve.CHUNK at a time; logs are taken only at Omega(n) = r.
+    predicate must be false wherever ln P^- < floor_exp * ln N - TIE_TOL.
+    Scanned one sieve.CHUNK at a time; logs are taken only at the n with
+    Omega(n) = r and P^-(n) at least that bound's integer floor, taken
+    with a 1e-9 relative margin for rounding.
     """
     sl = table.span(N, 2 * N)
     omega, p_minus, p_plus = table.omega[sl], table.p_minus[sl], table.p_plus[sl]
+    floor = int(math.exp(floor_exp * math.log(N) - TIE_TOL) * (1.0 - 1e-9))
     mask = np.zeros(N, dtype=bool)
     for a in range(0, N, sieve.CHUNK):
         c = slice(a, a + sieve.CHUNK)
-        idx = np.flatnonzero(omega[c] == r)
+        idx = np.flatnonzero((omega[c] == r) & (p_minus[c] >= floor))
         lpmin = np.log(p_minus[c][idx].astype(np.float64))
         lpmax = np.log(p_plus[c][idx].astype(np.float64))
         mask[a + idx[predicate(lpmin, lpmax)]] = True
@@ -128,7 +135,7 @@ def _omega_r_mask(table: FactorTable, N: int, r: int, predicate) -> np.ndarray:
 def star_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
     """Boolean star-set mask over the window offsets [N, 2N) of the table."""
     return _omega_r_mask(
-        table, spec.N, spec.r, lambda lpmin, lpmax: _in_interval(lpmin, lpmax, spec)
+        table, spec.N, spec.r, lambda lpmin, lpmax: _in_interval(lpmin, lpmax, spec), spec.a1
     )
 
 
@@ -144,7 +151,11 @@ def balanced_mask(N: int, r: int, eps: float, table: FactorTable) -> np.ndarray:
     """Mask over [N, 2N) of eps-balanced numbers with exactly r prime factors."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need eps in [0, 1), got {eps}")
-    return _omega_r_mask(table, N, r, lambda lpmin, lpmax: _balanced(lpmin, lpmax, eps))
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    return _omega_r_mask(
+        table, N, r, lambda lpmin, lpmax: _balanced(lpmin, lpmax, eps), (1.0 - eps) / r
+    )
 
 
 def count_eps_r(N: int, r: int, eps: float, table: FactorTable) -> int:

@@ -169,12 +169,13 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
     # pmax write is its largest prime <= sqrt(hi)
     _walk(lo, hi, primes[small:], rem, pmin, pmax, omega)
     # Residual cofactors: after removing all prime factors <= sqrt(hi),
-    # what remains is either 1 or a single prime > sqrt(hi).  An unset pmin
-    # means no prime <= sqrt(hi) divides n, so n = rem is itself prime; the
-    # copy also holds for the prime n = 2^31 - 1, which equals the int32 fill.
-    left = rem > 1
-    omega += left
-    np.copyto(pmax, rem, where=left)
+    # what remains is either 1 or a single prime > sqrt(hi).  That prime
+    # exceeds every recorded P^+, and P^+ >= 2 wherever rem is 1, so one
+    # unmasked maximum sets P^+.  An unset pmin means no prime <= sqrt(hi)
+    # divides n, so n = rem is itself prime; the copy also holds for the
+    # prime n = 2^31 - 1, which equals the int32 fill.
+    omega += rem > 1
+    np.maximum(pmax, rem, out=pmax)
     np.copyto(pmin, rem, where=pmin == unset)
 
 

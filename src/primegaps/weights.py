@@ -146,29 +146,59 @@ def _residue_classes(pf: tuple[int, ...], H: AdmissibleTuple) -> tuple[int, list
     return m, sorted(classes)
 
 
-def _weight_plan(cfg: WeightConfig) -> list[tuple[int, float, list[int]]]:
-    """(d, the value d adds, its CRT classes mod d) for every squarefree d <= R, ascending in d."""
+def _weight_plan(cfg: WeightConfig) -> tuple[np.ndarray, list[tuple[int, float, list[int]]]]:
+    """The weight fill's plan: a periodic base and (d, value, CRT classes mod d) for the other d.
+
+    Every squarefree d <= R adds mu(d) ln^(k+l)(R/d) / (k+l)! to its classes.
+    The longest prefix of the ascending d whose lcm stays within BLOCK
+    (d <= 16 once R >= 16, period 30030 = 2*3*5*7*11*13) is summed once,
+    from 0.0 and in increasing d, into a base vector of one period; the
+    rest follow ascending in d.
+    """
     power = cfg.k + cfg.l
     norm = 1.0 / factorial(power)
-    return [(d, mu * math.log(cfg.R / d) ** power * norm, _residue_classes(pf, cfg.H)[1])
-            for d, mu, pf in _squarefree_moduli(cfg.R)]
+    terms = [(d, mu * math.log(cfg.R / d) ** power * norm, _residue_classes(pf, cfg.H)[1])
+             for d, mu, pf in _squarefree_moduli(cfg.R)]
+    period, n_base = 1, 0
+    while n_base < len(terms) and math.lcm(period, terms[n_base][0]) <= BLOCK:
+        period = math.lcm(period, terms[n_base][0])
+        n_base += 1
+    base = np.zeros(period, dtype=np.float64)
+    for d, val, classes in terms[:n_base]:
+        for a in classes:
+            base[a::d] += val
+    return base, terms[n_base:]
 
 
-def _fill(plan: list[tuple[int, float, list[int]]], buf: np.ndarray, lo: int) -> None:
-    """Add the weight of every n in [lo, lo + len(buf)) to buf.
+def _fill(plan: tuple[np.ndarray, list[tuple[int, float, list[int]]]], buf: np.ndarray, lo: int) -> None:
+    """Write the weight of every n in [lo, lo + len(buf)) to buf, whatever buf held.
 
-    Each element receives its additions in increasing d, which fixes the
-    rounding: the small moduli d <= BLOCK_MAX_D, a prefix of that order,
-    are applied one BLOCK-sized stretch of buf at a time so that it stays
-    in cache, and the larger d then add over all of buf.
+    Each element receives its additions from 0.0 in increasing d, which
+    fixes the rounding.  The base holds, for each residue mod its period,
+    the sum over the prefix of that order, so copying it from phase lo mod
+    period gives every element the partial sum those additions would have.
+    The copy and the remaining small moduli d <= BLOCK_MAX_D (a prefix of
+    what is left) are applied one BLOCK-sized stretch of buf at a time so
+    that it stays in cache, and the larger d then add over all of buf.
     """
-    n_small = sum(d <= BLOCK_MAX_D for d, _, _ in plan)
+    base, rest = plan
+    period = len(base)
+    n_small = sum(d <= BLOCK_MAX_D for d, _, _ in rest)
     for b0 in range(0, len(buf), BLOCK):
         block = buf[b0 : b0 + BLOCK]
-        for d, val, classes in plan[:n_small]:
+        # one period from phase (lo + b0) mod period, then doubled in place
+        j, m = (lo + b0) % period, min(len(block), period)
+        head = min(period - j, m)
+        block[:head] = base[j : j + head]
+        block[head:m] = base[: m - head]
+        s = period
+        while s < len(block):
+            block[s : 2 * s] = block[: min(s, len(block) - s)]
+            s *= 2
+        for d, val, classes in rest[:n_small]:
             for a in classes:
                 block[(a - lo - b0) % d :: d] += val
-    for d, val, classes in plan[n_small:]:
+    for d, val, classes in rest[n_small:]:
         for a in classes:
             buf[(a - lo) % d :: d] += val
 
@@ -179,11 +209,11 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     The weight depends on n only through its residues mod the squarefree
     d <= R, so no factorizations are needed; the optional table is only
     range-checked for interface parity with the oracle.  It plans the
-    moduli once (_weight_plan) and fills a zeroed vector (_fill).
+    moduli once (_weight_plan) and writes them into a new vector (_fill).
     """
     if table is not None:
         table.span(lo, hi)
-    w = np.zeros(hi - lo, dtype=np.float64)
+    w = np.empty(hi - lo, dtype=np.float64)
     _fill(_weight_plan(cfg), w, lo)
     return w
 
@@ -202,7 +232,6 @@ def _window_fsum(N: int, cfg: WeightConfig, table: FactorTable, term) -> float:
     for a in range(0, N, sieve.CHUNK):
         b = min(a + sieve.CHUNK, N)
         w = buf[: b - a]
-        w.fill(0.0)
         _fill(plan, w, N + a)
         sums.append(float(term(w, a, b).sum()))
     return math.fsum(sums)

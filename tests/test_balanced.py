@@ -185,18 +185,56 @@ def test_ptilde_mask_partition(table_win_1e4):
     assert not (primes & sm).any()  # primes have omega 1, star members omega r
 
 
+# a1 = ln 67 / ln 1e4 at r = 2: the star set's lower end N^a1 is the prime 67 within TIE_TOL
+EPS_67 = 2 * (1 - 2 * math.log(67) / math.log(10**4))
+
+
 def test_scalar_predicates_match_masks(table_win_1e4):
-    # the per-integer predicates and the window masks agree on every n of [N, 2N)
+    # the per-integer predicates and the window masks agree on every n of
+    # [N, 2N); the masks drop n whose P^- lies below a floor before taking
+    # logs, and the scalar predicates have no floor
     N = 10**4
     t = table_win_1e4
     fs = [factorize(t, n) for n in range(N, 2 * N)]
-    for r in (1, 2, 3):
-        for eps in (0.1, 0.3, 0.5):
+    for r in (1, 2, 3, 4):
+        for eps in (0.05, 0.1, 0.3, 0.5, 0.99, EPS_67):
             spec = StarSetSpec(N=N, r=r, eps=eps)
-            assert [in_star_set(f, spec) for f in fs] == star_mask(spec, t).tolist()
-        for eps in (0.0, 0.2, 0.4):
+            assert [in_star_set(f, spec) for f in fs] == star_mask(spec, t).tolist(), (r, eps)
+        for eps in (0.0, 0.2, 0.4, 0.99):
             scalar = [f.omega_big == r and is_eps_balanced(f, eps) for f in fs]
-            assert scalar == balanced_mask(N, r, eps, t).tolist()
+            assert scalar == balanced_mask(N, r, eps, t).tolist(), (r, eps)
+    # at eps = 0 the balanced members are exactly the prime powers
+    powers = [f.omega_big == 2 and len(f.factors) == 1 for f in fs]
+    assert powers == balanced_mask(N, 2, 0.0, t).tolist() and any(powers)
+
+
+@pytest.mark.parametrize("N, r, eps, kind", [
+    # N = 67 * 149: N^a1 = 67 and N^a2 = 149 within TIE_TOL, so n = N ties at both ends
+    (67 * 149, 2, 2 * (1 - 2 * math.log(67) / math.log(67 * 149)), "star"),
+    # N = p^r at eps = 0: P^- = P^+ = N^(1/r), the balance floor itself
+    (101**2, 2, 0.0, "balanced"),
+    (23**3, 3, 0.0, "balanced"),
+])
+def test_mask_floors_keep_a_member_at_the_floor(N, r, eps, kind):
+    t = build_factor_table(N, 2 * N)
+    f = factorize(t, N)
+    if kind == "star":
+        spec = StarSetSpec(N=N, r=r, eps=eps)
+        mask, member, edge = star_mask(spec, t), in_star_set(f, spec), N**spec.a1
+    else:
+        mask, member, edge = balanced_mask(N, r, eps, t), is_eps_balanced(f, eps), N ** (1 / r)
+    assert f.omega_big == r and f.p_minus == round(edge)  # P^- sits on the floor
+    assert member and mask[0]
+
+
+def test_masks_reject_r_below_one(table_win_1e4):
+    N = 10**4
+    for fn in (balanced_mask, count_eps_r):
+        with pytest.raises(ValueError, match=r"need r >= 1, got r=0"):
+            fn(N, 0, 0.3, table_win_1e4)
+        # coverage is checked before the floor, so N = 0 takes no log
+        with pytest.raises(ValueError, match="does not cover"):
+            fn(0, 2, 0.3, table_win_1e4)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 40])

@@ -113,6 +113,42 @@ def test_blocked_batch_is_bit_identical_to_full_length(R, k):
     assert got.tobytes() == full_length_batch(lo, hi, cfg).tobytes()
 
 
+P = 30030  # the base period once R >= 13: 2 * 3 * 5 * 7 * 11 * 13
+
+
+@pytest.mark.parametrize("lo, n", [
+    (40 * P, 1000),  # lo = 0 mod P, shorter than the period
+    (40 * P + P - 1, 1000),  # lo = P - 1 mod P
+    (40 * P, P - 1),
+    (40 * P + P - 1, P - 1),
+    (40 * P + P - 1, 2 * weights.BLOCK + 5),  # several blocks, each from its own phase
+])
+@pytest.mark.parametrize("R, k, l", [
+    (7.3, 3, 1),  # R < 16: the base is the whole plan
+    (12.5, 3, 0),
+    (30.0, 3, 1),  # mu(30) = -1 and ln(R/30) = 0: d = 30 adds -0.0
+    (56.0, 6, 0),
+    (300.0, 6, 1),
+])
+def test_periodic_base_is_bit_identical_to_full_length(lo, n, R, k, l):
+    cfg = WeightConfig(H=generate_tuple(k), l=l, R=R)
+    ref = full_length_batch(lo, lo + n, cfg).tobytes()
+    assert lambda_r_batch(lo, lo + n, cfg).tobytes() == ref
+    # _fill writes every element, whatever the buffer held
+    buf = np.full(n, np.nan)
+    weights._fill(weights._weight_plan(cfg), buf, lo)
+    assert buf.tobytes() == ref
+
+
+def test_periodic_base_takes_the_longest_prefix_within_block():
+    base, rest = weights._weight_plan(WeightConfig(H=generate_tuple(3), l=1, R=12.5))
+    assert len(base) == 2310 and rest == []
+    base, rest = weights._weight_plan(WeightConfig(H=generate_tuple(3), l=1, R=30.0))
+    assert len(base) == P <= weights.BLOCK and rest[0][0] == 17
+    d, val, _ = rest[-1]
+    assert d == 30 and val == 0.0 and math.copysign(1.0, val) == -1.0
+
+
 def test_residue_class_counts_are_multiplicative():
     from primegaps.weights import _residue_classes
 
