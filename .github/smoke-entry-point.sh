@@ -14,6 +14,8 @@ primegaps weights --n-window 10000 --k 3 --l 1 --big-r 10 --format csv \
 primegaps weights --n-window 10000 --k 3 --l 1 --big-r 10 \
   | python -c 'import json, sys; sys.exit(len(json.load(sys.stdin)["rows"]) != 10000)'
 primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --format csv | python -c "$rows_ok"
+# N^(1 - alpha) < 2: the Mobius coefficients are mu(1) alone
+primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.99 --f mobius --format csv | python -c "$rows_ok"
 primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usage.err" || rc=$?
 test "$rc" -eq 2

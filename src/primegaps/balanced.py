@@ -141,8 +141,8 @@ def star_mask(spec: StarSetSpec, table: FactorTable) -> np.ndarray:
 
 def count_star(spec: StarSetSpec, table: FactorTable) -> tuple[int, float]:
     """Exact star-set count over [N, 2N) plus the C0(r, eps) * N / ln N prediction."""
+    c0v = density.c0(spec.r, spec.eps).value  # checks r before the window scan
     count = int(star_mask(spec, table).sum())
-    c0v = density.c0(spec.r, spec.eps).value
     predicted = c0v * spec.N / math.log(spec.N)
     return count, predicted
 

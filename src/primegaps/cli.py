@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import build_factor_table, check_fits, factorize, mobius, table_nbytes
+from .sieve import build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes, table_nbytes
 
 ARTIFACT_VERSION = __version__
 
@@ -300,14 +300,13 @@ def cmd_bv_star(args):
 def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
-    # the [2, N] table and g's N + 1 floats, f's m_max floats, and the mobius table
-    mobius_table = table_nbytes(2, m_max + 1) if args.f == "mobius" else 0
-    check_fits(table_nbytes(2, N + 1) + mobius_table + 8 * (N + 1 + m_max))
+    # the [2, N] table and g's N + 1 floats, f's m_max floats, and mu's prime sieve
+    mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
+    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 8 * (N + 1 + m_max))
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":
-        ft = build_factor_table(2, m_max + 1)
-        f = np.array([1.0] + [float(mobius(factorize(ft, m))) for m in range(2, m_max + 1)])
+        f = mobius_up_to(m_max)
     else:
         data = np.loadtxt(args.f, ndmin=2)
         f = np.zeros(m_max)

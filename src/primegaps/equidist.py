@@ -127,8 +127,8 @@ def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> Discrepan
     if cfg.target != STAR_SET_WINDOW or cfg.spec is None:
         raise ValueError("config target must be star_set_window with a spec")
     spec = cfg.spec
+    c0v = density.c0(spec.r, spec.eps).value  # checks r before the window scan
     members = _target_values(cfg, table)
-    c0v = density.c0(spec.r, spec.eps).value
     li_n = log_integral(spec.N)
     li_window = log_integral(2 * spec.N) - li_n
     return _discrepancy(members, None, cfg.q_max, c0v * li_n, c0v * li_window)

@@ -183,7 +183,7 @@ def table_nbytes(lo: int, hi: int) -> int:
     """Bytes held by build_factor_table(lo, hi), with 64 KiB for its array headers and ufunc buffers."""
     width = np.dtype(window_dtype(hi)).itemsize
     outputs = (2 * width + 1) * (hi - lo)  # P^-, P^+ and int8 omega: 9 B below 2^31, 17 above
-    scratch = min(hi - lo, SEGMENT) * (width + 2)  # residual cofactors and two bool masks
+    scratch = min(hi - lo, SEGMENT) * (width + 1)  # residual cofactors and one bool mask
     return outputs + scratch + primes_nbytes(math.isqrt(hi - 1)) + (1 << 16)
 
 
@@ -194,18 +194,20 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     per integer below 2^31 and 17 above (p_minus and p_plus in window_dtype,
     int8 omega), written in place one SEGMENT at a time, so the scratch is
     bounded by the segment: the residual cofactors (window_dtype too) and
-    two bool masks, 24 MiB below 2^31 and 40 MiB above.  The build is
-    refused before allocating when that total, table_nbytes, exceeds
-    physical memory.  Each segment walks the primes <= SMALL_P one BLOCK at
-    a time, then the rest; p_minus starts at its dtype's maximum and entries
-    still there after the walk are primes.  Deterministic: rebuilding any
-    sub-window yields identical values.
+    one bool mask, 20 MiB below 2^31 and 36 MiB above.  The build is
+    refused before allocating when hi exceeds 2^63 (past int64) or when that
+    total, table_nbytes, exceeds physical memory.  Each segment walks the
+    primes <= SMALL_P one BLOCK at a time, then the rest; p_minus starts at
+    its dtype's maximum and entries still there after the walk are primes.
+    Deterministic: rebuilding any sub-window yields identical values.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi})")
     check_fits(table_nbytes(lo, hi))
+    if hi > 2**63:
+        raise ValueError(f"window [{lo}, {hi}) exceeds int64: need hi <= 2^63")
     size = hi - lo
     primes = primes_up_to(math.isqrt(hi - 1))
     pmin = np.empty(size, dtype=window_dtype(hi))
@@ -266,6 +268,19 @@ def mobius(f: Factorization) -> int:
         if e >= 2:
             return 0
     return -1 if len(f.factors) % 2 else 1
+
+
+def mobius_up_to(n: int) -> np.ndarray:
+    """mu(m) for m = 1 .. n as float64 (index m - 1), by a sieve over primes_up_to(n).
+
+    The primes come first, so besides its output it holds at most primes_nbytes(n).
+    """
+    primes = primes_up_to(n)
+    mu = np.ones(n + 1, dtype=np.int8)
+    for p in map(int, primes):
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    return mu[1:].astype(np.float64)
 
 
 def log_integral(x: float | np.ndarray) -> float | np.ndarray:

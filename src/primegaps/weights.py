@@ -7,8 +7,8 @@ The weight is
 with P_H(n) the product of the shifted values n + h_i.  Two routes are
 provided: a per-n oracle that factors each n + h_i and enumerates the
 squarefree divisors depth-first, and a batch route that plans the
-squarefree d <= R with their values and residue classes (found by CRT
-from the roots of P_H mod each prime of d) once, then adds each d's value
+squarefree d <= R with their values and residue classes (one depth-first
+walk, one CRT step per appended prime) once, then adds each d's value
 to its classes in a buffer starting at any lo.  The moment sums fill one
 sieve.CHUNK of [N, 2N) at a time from that plan and pass the chunk sums
 of their summand to math.fsum, so they hold no N-sized float array.
@@ -33,7 +33,7 @@ from . import balanced, density, sieve
 from .sieve import FactorTable, factorize
 from .tuples import AdmissibleTuple, positivity_factor, singular_series
 
-#: Cap on enumerated squarefree moduli in the batch route.
+#: Cap on the (d, CRT class) pairs of the weight plan, over all squarefree d <= R.
 MAX_DIVISORS = 5_000_000
 
 #: Float64 elements per cache block of the batch weight accumulation (1 MiB).
@@ -106,44 +106,43 @@ def lambda_r_naive(n: int, cfg: WeightConfig, table: FactorTable) -> float:
     return math.fsum(terms) / factorial(power)
 
 
-def _squarefree_moduli(R: float) -> list[tuple[int, int, tuple[int, ...]]]:
-    """All squarefree d <= R as (d, mu(d), prime factors), ascending in d.
+def _squarefree_moduli(R: float, H: AdmissibleTuple) -> list[tuple[int, int, list[int]]]:
+    """All squarefree d <= R as (d, mu(d), sorted classes of P_H(n) == 0 mod d), ascending in d.
 
-    More than MAX_DIVISORS squarefree d lie below 2 * MAX_DIVISORS, so a
-    larger R is refused before its primes are sieved (as too large for
-    memory, if that sieve would not fit).
+    The depth-first walk appends primes in increasing order, and a child's
+    classes come from its parent's by one CRT step over the roots of P_H
+    mod the new prime.  The budget counts the (d, class) pairs held, which
+    set the plan's memory and the fill's strided updates per chunk.  Every
+    d has a class and more than MAX_DIVISORS squarefree d lie below
+    2 * MAX_DIVISORS, so a larger R is refused before its primes are sieved
+    (as too large for memory, if that sieve would not fit).
     """
     if R >= 2 * MAX_DIVISORS:
         sieve.check_fits(sieve.primes_nbytes(int(R)))
         raise ValueError(f"R={R} exceeds the divisor enumeration budget")
     plist = [int(p) for p in sieve.primes_up_to(int(R))]
-    out: list[tuple[int, int, tuple[int, ...]]] = []
+    out: list[tuple[int, int, list[int]]] = []
+    pairs = 0
 
-    def dfs(i: int, d: int, mu: int, pf: tuple[int, ...]) -> None:
-        out.append((d, mu, pf))
-        if len(out) > MAX_DIVISORS:
+    def dfs(i: int, d: int, mu: int, classes: list[int]) -> None:
+        nonlocal pairs
+        out.append((d, mu, classes))
+        pairs += len(classes)
+        if pairs > MAX_DIVISORS:
             raise ValueError(f"R={R} exceeds the divisor enumeration budget")
         for j in range(i, len(plist)):
-            nd = d * plist[j]
-            if nd > R:
+            p = plist[j]
+            if d * p > R:
                 break
-            dfs(j + 1, nd, -mu, pf + (plist[j],))
+            roots = sorted({(-h) % p for h in H.offsets})
+            inv = pow(d, -1, p)
+            # sorted copies a list at its exact size: the plan holds no spare slots
+            lifted = sorted([a + d * ((r - a) * inv % p) for a in classes for r in roots])
+            dfs(j + 1, d * p, -mu, lifted)
 
-    dfs(0, 1, 1, ())
+    dfs(0, 1, 1, [0])
     out.sort()
     return out
-
-
-def _residue_classes(pf: tuple[int, ...], H: AdmissibleTuple) -> tuple[int, list[int]]:
-    """CRT roots of P_H(n) == 0 mod the product of the given primes."""
-    m = 1
-    classes = [0]
-    for p in pf:
-        roots = sorted({(-h) % p for h in H.offsets})
-        inv = pow(m, -1, p)
-        classes = [a + m * ((r - a) * inv % p) for a in classes for r in roots]
-        m *= p
-    return m, sorted(classes)
 
 
 def _weight_plan(cfg: WeightConfig) -> tuple[np.ndarray, list[tuple[int, float, list[int]]]]:
@@ -157,8 +156,8 @@ def _weight_plan(cfg: WeightConfig) -> tuple[np.ndarray, list[tuple[int, float, 
     """
     power = cfg.k + cfg.l
     norm = 1.0 / factorial(power)
-    terms = [(d, mu * math.log(cfg.R / d) ** power * norm, _residue_classes(pf, cfg.H)[1])
-             for d, mu, pf in _squarefree_moduli(cfg.R)]
+    terms = [(d, mu * math.log(cfg.R / d) ** power * norm, classes)
+             for d, mu, classes in _squarefree_moduli(cfg.R, cfg.H)]
     period, n_base = 1, 0
     while n_base < len(terms) and math.lcm(period, terms[n_base][0]) <= BLOCK:
         period = math.lcm(period, terms[n_base][0])
@@ -275,25 +274,20 @@ def check_moment_args(
             raise ValueError(f"spec window base {spec.N} != N={N}")
 
 
-def _lemma1_main(N: int, cfg: WeightConfig, s_h: float) -> float:
-    """binom(2l, l) N (ln R)^(k+2l) S(H) / (k+2l)!."""
-    k, l = cfg.k, cfg.l
-    return comb(2 * l, l) * N * math.log(cfg.R) ** (k + 2 * l) * s_h / factorial(k + 2 * l)
+def _main_term(N: int, cfg: WeightConfig, s_h: float, j: int, uplift: float = 1.0) -> float:
+    """binom(2l+2j, l+j) N (ln R)^(k+2l+j) S(H) uplift / ((k+2l+j)! (ln N)^j).
 
-
-def _lemma2_main(N: int, cfg: WeightConfig, s_h: float, uplift: float = 1.0) -> float:
-    """binom(2l+2, l+1) N (ln R)^(k+2l+1) S(H) uplift / ((k+2l+1)! ln N).
-
-    uplift is 1 + C0 for the widened indicator; the default 1.0 is exact.
+    j = 0 predicts the square sum, j = 1 the prime-indicator sum; uplift is
+    1 + C0 for the widened indicator.  The default 1.0 and (ln N)^0 are exact.
     """
     k, l = cfg.k, cfg.l
     return (
-        comb(2 * l + 2, l + 1)
+        comb(2 * l + 2 * j, l + j)
         * N
-        * math.log(cfg.R) ** (k + 2 * l + 1)
+        * math.log(cfg.R) ** (k + 2 * l + j)
         * s_h
         * uplift
-        / (factorial(k + 2 * l + 1) * math.log(N))
+        / (factorial(k + 2 * l + j) * math.log(N) ** j)
     )
 
 
@@ -309,7 +303,7 @@ def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport
     empirical = _window_fsum(N, cfg, table, lambda w, a, b: w * w)
     s_h = _series_value(cfg.H)
     return _report(
-        N, cfg, LEMMA1, empirical, _lemma1_main(N, cfg, s_h),
+        N, cfg, LEMMA1, empirical, _main_term(N, cfg, s_h, 0),
         singular_series=s_h, degenerate=s_h == 0.0,
     )
 
@@ -327,7 +321,7 @@ def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> Mome
         N, cfg, table, lambda w, a, b: w * w * _prime_indicator(N, h, table, a, b)
     )
     s_h = _series_value(cfg.H)
-    return _report(N, cfg, LEMMA2, empirical, _lemma2_main(N, cfg, s_h), h=h, singular_series=s_h)
+    return _report(N, cfg, LEMMA2, empirical, _main_term(N, cfg, s_h, 1), h=h, singular_series=s_h)
 
 
 def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
@@ -364,7 +358,7 @@ def moment_lemma3(
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
-        N, cfg, LEMMA3, empirical, _lemma2_main(N, cfg, s_h, 1.0 + c0v),
+        N, cfg, LEMMA3, empirical, _main_term(N, cfg, s_h, 1, 1.0 + c0v),
         h=h, r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
     )
 
@@ -393,7 +387,7 @@ def s_statistic(
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
         N, cfg, S_STATISTIC, empirical,
-        _lemma1_main(N, cfg, s_h) * positivity_factor(cfg.k, cfg.l, c0v),
+        _main_term(N, cfg, s_h, 0) * positivity_factor(cfg.k, cfg.l, c0v),
         r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
         multi_hit_count=sum(multi_hits),
     )

@@ -215,6 +215,13 @@ def test_bv_star_and_weighted(capsys):
     assert doc["results"]["total"] >= 0
 
 
+def test_bv_weighted_mobius_with_one_coefficient(capsys):
+    # N^(1 - alpha) < 2 leaves m_max = 1, where mu(1) = 1 gives the const1 rows
+    args = ["bv-weighted", "--n-window", "1000", "--q-max", "5", "--alpha", "0.99"]
+    rows = {f: run_json(capsys, *args, "--f", f)["rows"] for f in ("mobius", "const1")}
+    assert len(rows["mobius"]) == 5 and rows["mobius"] == rows["const1"]
+
+
 def test_byte_identical_reproduction(capsys, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (out1, out2):

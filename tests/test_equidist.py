@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from primegaps import balanced
 from primegaps.balanced import StarSetSpec, count_star, star_mask
 from primegaps.density import c0
 from primegaps.equidist import (
@@ -88,6 +89,19 @@ def test_prime_scale_sanity(table_full_1e4, table_full_1e6):
         rep = bv_prime_discrepancy(DiscrepancyConfig(N=N, q_max=qm), t)
         pi_n = int((t.omega[: N - t.lo + 1] == 1).sum())
         assert rep.total < 0.05 * qm * pi_n
+
+
+def test_star_counts_check_r_before_the_window_scan(table_win_1e4, monkeypatch):
+    def no_scan(spec, table):
+        raise AssertionError("scanned the window")
+
+    monkeypatch.setattr(balanced, "star_mask", no_scan)
+    N = 10**4
+    spec = StarSetSpec(N=N, r=65, eps=0.3)
+    with pytest.raises(ValueError, match="2 <= r <= 64"):
+        count_star(spec, table_win_1e4)
+    with pytest.raises(ValueError, match="2 <= r <= 64"):
+        bv_star_discrepancy(DiscrepancyConfig(N=N, q_max=10, target=STAR_SET_WINDOW, spec=spec), table_win_1e4)
 
 
 def test_star_discrepancy_counts_match_count_star(table_win_1e5):

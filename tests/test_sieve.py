@@ -272,6 +272,26 @@ def test_mobius_examples_and_against_sieve(table_full_1e6):
         assert mobius(factorize(t, n)) == mu[n]
 
 
+def test_mobius_up_to_matches_sympy():
+    import sympy
+
+    mu = sieve.mobius_up_to(10**4)
+    assert mu.dtype == np.float64
+    assert mu.tolist() == [float(sympy.mobius(m)) for m in range(1, 10**4 + 1)]
+    assert not np.signbit(mu[mu == 0]).any()  # no -0.0
+    assert sieve.mobius_up_to(1).tolist() == [1.0]
+
+
+def test_build_refuses_past_int64_before_sieving(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieved the primes up to {n}")
+
+    monkeypatch.setattr(sieve, "primes_up_to", no_sieve)
+    for lo, hi in ((2**63 - 1, 2**63 + 1), (2**63 + 1, 2**63 + 4)):
+        with pytest.raises(ValueError, match="int64"):
+            build_factor_table(lo, hi)
+
+
 def test_mobius_divisor_sum_identity():
     limit = 10**5
     mu = _mobius_sieve(limit)

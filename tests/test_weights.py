@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from math import factorial
@@ -90,14 +91,29 @@ def test_batch_d1_baseline():
         assert math.isclose(w[i], expect / factorial(3), rel_tol=1e-12)
 
 
+def crt_classes(d, offsets):
+    """The classes a < d with d | P_H(a), by trying every a."""
+    a = np.arange(d, dtype=np.int64)
+    prod = np.ones(d, dtype=np.int64)
+    for h in offsets:
+        prod = prod * ((a + h) % d) % d
+    return np.flatnonzero(prod == 0).tolist()
+
+
 def full_length_batch(lo, hi, cfg):
-    """Reference accumulation: every (d, class) as one full-length strided add, d ascending."""
+    """Reference accumulation, sharing no code with the plan: every squarefree
+    d <= R (from sympy) and each class a < d with d | P_H(a), ascending, as
+    one full-length strided add."""
+    import sympy
+
     power = cfg.k + cfg.l
     w = np.zeros(hi - lo, dtype=np.float64)
-    for d, mu, pf in weights._squarefree_moduli(cfg.R):
-        val = mu * math.log(cfg.R / d) ** power * (1.0 / factorial(power))
-        for a in weights._residue_classes(pf, cfg.H)[1]:
-            w[(a - lo) % d :: d] += val
+    for d in range(1, math.floor(cfg.R) + 1):
+        mu = int(sympy.mobius(d))
+        if mu:
+            val = mu * math.log(cfg.R / d) ** power * (1.0 / factorial(power))
+            for a in crt_classes(d, cfg.H.offsets):
+                w[(a - lo) % d :: d] += val
     return w
 
 
@@ -150,18 +166,17 @@ def test_periodic_base_takes_the_longest_prefix_within_block():
 
 
 def test_residue_class_counts_are_multiplicative():
-    from primegaps.weights import _residue_classes
+    import sympy
 
     H = AdmissibleTuple((0, 2, 6))
-    for pf in ((2,), (3,), (5,), (2, 3), (3, 5), (2, 3, 5)):
-        d, classes = _residue_classes(pf, H)
-        assert d == math.prod(pf)
-        expect = math.prod(nu_p(H, p) for p in pf)
+    plan = weights._squarefree_moduli(40.0, H)
+    assert [d for d, _, _ in plan] == [d for d in range(1, 41) if sympy.mobius(d)]
+    for d, mu, classes in plan:
+        assert mu == sympy.mobius(d)
+        expect = math.prod(nu_p(H, p) for p in sympy.primefactors(d))
         assert len(classes) == len(set(classes)) == expect
-        # every class really makes the product divisible by d
-        for a in classes:
-            P = math.prod(a + h for h in H.offsets)
-            assert P % d == 0
+        # sorted, each below d, and every class really makes the product divisible by d
+        assert classes == crt_classes(d, H.offsets)
 
 
 def test_weight_depends_only_on_residues():
@@ -172,21 +187,27 @@ def test_weight_depends_only_on_residues():
     assert np.allclose(w[:30], w[60:90], rtol=0, atol=1e-14)
 
 
-def test_divisor_budget_error():
-    cfg = WeightConfig(H=AdmissibleTuple((0, 2)), l=0, R=10.0)
-    old = weights.MAX_DIVISORS
-    weights.MAX_DIVISORS = 3
-    try:
-        with pytest.raises(ValueError):
-            lambda_r_batch(100, 120, cfg)
-    finally:
-        weights.MAX_DIVISORS = old
+def test_divisor_budget_error(monkeypatch):
+    monkeypatch.setattr(weights, "MAX_DIVISORS", 3)
+    with pytest.raises(ValueError, match="budget"):
+        lambda_r_batch(100, 120, WeightConfig(H=AdmissibleTuple((0, 2)), l=0, R=10.0))
+
+
+def test_budget_counts_the_classes_the_plan_holds(monkeypatch):
+    # k = 6 at R = 200: 122 squarefree moduli, but 1500 (d, class) pairs
+    H = generate_tuple(6)
+    plan = weights._squarefree_moduli(200.0, H)
+    assert (len(plan), sum(len(c) for _, _, c in plan)) == (122, 1500)
+    monkeypatch.setattr(weights, "MAX_DIVISORS", 1000)
+    with pytest.raises(ValueError, match="budget"):
+        lambda_r_batch(100, 120, WeightConfig(H=H, l=0, R=200.0))
 
 
 def test_early_budget_refusal_rejects_only_what_the_enumeration_would():
     # R >= 2 * MAX_DIVISORS is refused before any sieving; that is sound because
-    # Q(2 * MAX_DIVISORS), the number of squarefree d up to it, already exceeds
-    # the budget: Q(x) = sum over d <= sqrt(x) of mu(d) floor(x / d^2)
+    # every squarefree d holds at least one class and Q(2 * MAX_DIVISORS), the
+    # number of squarefree d up to it, already exceeds the budget:
+    # Q(x) = sum over d <= sqrt(x) of mu(d) floor(x / d^2)
     import sympy
 
     x = 2 * weights.MAX_DIVISORS
@@ -244,6 +265,48 @@ def test_lemma1_brute_force(moment_setup):
     assert math.isclose(rep.empirical, brute, rel_tol=1e-11)
     assert rep.predicted_main_term > 0
     assert math.isclose(rep.ratio, rep.empirical / rep.predicted_main_term, rel_tol=1e-15)
+
+
+def lemma1_pair_sum(N, offsets, l, R):
+    """Exact sum over n in [N, 2N) of w(n)^2, sharing no code with the package.
+
+    w(n)^2 = sum over squarefree d, e <= R of lambda_d lambda_e [lcm(d, e) | P_H(n)],
+    so the sum is that pair sum weighted by #{n in [N, 2N) : lcm(d, e) | P_H(n)}:
+    a floor difference over each CRT class mod the lcm.  The squarefree d come
+    from sympy, and each class is sum r_p (m/p) ((m/p)^-1 mod p) mod m over one
+    root r_p of P_H mod each prime p of m.
+    """
+    import itertools
+
+    import sympy
+
+    power = len(offsets) + l
+    lam = [int(sympy.mobius(d)) * math.log(R / d) ** power / factorial(power)
+           for d in range(1, math.floor(R) + 1)]
+    moduli = [d for d in range(1, math.floor(R) + 1) if lam[d - 1]]
+
+    @functools.cache
+    def count(m):
+        ps = sympy.primefactors(m)
+        basis = [(m // p) * pow(m // p, -1, p) for p in ps]
+        roots = [sorted({-h % p for h in offsets}) for p in ps]
+        return sum((2 * N - 1 - a) // m - (N - 1 - a) // m
+                   for a in (sum(r * b for r, b in zip(rs, basis)) % m
+                             for rs in itertools.product(*roots)))
+
+    return math.fsum(lam[d - 1] * lam[e - 1] * count(math.lcm(d, e))
+                     for d in moduli for e in moduli)
+
+
+@pytest.mark.parametrize("N, offsets, l, R", [
+    (10**4, (0, 2, 6), 1, (10**4) ** 0.25),
+    (10**7, (0, 2, 6), 1, (10**7) ** 0.25),
+    (10**4, generate_tuple(6).offsets, 0, (10**4) ** 0.5),
+])
+def test_lemma1_matches_exact_pair_sum(table_win_1e7, N, offsets, l, R):
+    t = table_win_1e7 if N == 10**7 else build_factor_table(N, 2 * N + max(offsets))
+    rep = moment_lemma1(N, WeightConfig(H=AdmissibleTuple(offsets), l=l, R=R), t)
+    assert math.isclose(rep.empirical, lemma1_pair_sum(N, offsets, l, R), rel_tol=1e-12)
 
 
 def test_lemma1_degenerate_inadmissible(table_win_1e4):
