@@ -17,6 +17,9 @@ primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --format 
 # N^(1 - alpha) < 2: the Mobius coefficients are mu(1) alone
 primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.99 --f mobius --format csv | python -c "$rows_ok"
 primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
+# a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
+primegaps count-star --n-window 5000000 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 76070)'
 rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usage.err" || rc=$?
 test "$rc" -eq 2
 grep -q "primegaps s-stat: error:" "$tmp/usage.err"

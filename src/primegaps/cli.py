@@ -152,7 +152,8 @@ def _star_spec(args) -> balanced.StarSetSpec:
 
 def cmd_classify(args):
     n = args.n
-    table = build_factor_table(max(2, n - 1), n + 2)
+    lo = max(2, n)  # n = 1 is refused by factorize, with the table's coverage error
+    table = build_factor_table(lo, lo + 1)
     cls = balanced.classify(factorize(table, n))
     row = {
         "n": cls.n,

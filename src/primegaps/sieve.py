@@ -6,10 +6,12 @@ prime factor and number of prime factors counted with multiplicity, built
 by a segmented Eratosthenes-style pass.  Within each SEGMENT the primes up
 to SMALL_P, which hit most of the entries, are walked one cache-sized
 BLOCK at a time, so their passes stay in cache; the larger primes walk the
-whole segment.  Below 2^31 the table's P^- and P^+ and the cofactor left
-after dividing out the sieving primes are int32, above it int64
-(window_dtype); Omega is int8.  P^- starts at its dtype's maximum and is
-lowered by one in-place minimum per prime.
+whole segment.  A window longer than one SEGMENT has its two halves
+sieved by two processes at once when two cores are free (_in_two, which
+the moment sums share).  Below 2^31 the table's P^- and P^+ and the
+cofactor left after dividing out the sieving primes are int32, above it
+int64 (window_dtype); Omega is int8.  P^- starts at its dtype's maximum
+and is lowered by one in-place minimum per prime.
 
 All downstream window scans (balance classification, star-set counts,
 weight sums, discrepancy sums) read these arrays through FactorTable.span,
@@ -26,7 +28,10 @@ Conventions fixed here for the whole package:
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,54 @@ SMALL_P = 256  # primes up to this are walked one BLOCK at a time
 CHUNK = 1 << 20  # integers per chunk of the window scans above the table
 
 _LI_OFFSET = 1.045163780117493  # li(2), subtracted so Li(2) = 0
+
+
+def _in_two(job, items) -> list:
+    """[job(x) for x in items] over a sequence, the first half in a forked child when two cores are free.
+
+    The child pickles its results into a pipe and leaves by os._exit; the
+    caller computes the second half, reads the pipe and reaps the child, so
+    the results come back in item order.  An exception in either half is
+    raised in the caller, and only after the child is reaped (killed first
+    if the caller's half failed).  Fewer than two items, or fewer than two
+    usable cores, run inline.  The child copies no thread of the caller,
+    so a job must not need one: the jobs here run numpy's element-wise
+    kernels, never a BLAS routine served by its worker threads.
+    """
+    if len(items) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return [job(x) for x in items]
+    half = len(items) // 2
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller's code
+        code = 1
+        try:
+            os.close(r)
+            try:
+                out = True, [job(x) for x in items[:half]]
+            except Exception as exc:
+                out = False, exc
+            with open(w, "wb") as f:
+                pickle.dump(out, f)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        rest = [job(x) for x in items[half:]]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with open(r, "rb") as f:
+            data = f.read()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise ChildProcessError(f"the forked half of the job ended with wait status {status}")
+    ok, first = pickle.loads(data)
+    if not ok:
+        raise first
+    return first + rest
 
 
 def check_fits(nbytes: int) -> None:
@@ -179,11 +232,18 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
     np.copyto(pmin, rem, where=pmin == unset)
 
 
+def _segments(size: int) -> int:
+    """Segments of at most SEGMENT integers for a build of size: one if it fits, else the fewest even number."""
+    return 1 if size <= SEGMENT else 2 * -(-size // (2 * SEGMENT))
+
+
 def table_nbytes(lo: int, hi: int) -> int:
     """Bytes held by build_factor_table(lo, hi), with 64 KiB for its array headers and ufunc buffers."""
     width = np.dtype(window_dtype(hi)).itemsize
     outputs = (2 * width + 1) * (hi - lo)  # P^-, P^+ and int8 omega: 9 B below 2^31, 17 above
-    scratch = min(hi - lo, SEGMENT) * (width + 1)  # residual cofactors and one bool mask
+    n = _segments(hi - lo)
+    # each process sieving segments holds one segment's residual cofactors and bool mask
+    scratch = min(n, 2) * -(-(hi - lo) // n) * (width + 1)
     return outputs + scratch + primes_nbytes(math.isqrt(hi - 1)) + (1 << 16)
 
 
@@ -192,14 +252,20 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
 
     Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 9 bytes
     per integer below 2^31 and 17 above (p_minus and p_plus in window_dtype,
-    int8 omega), written in place one SEGMENT at a time, so the scratch is
-    bounded by the segment: the residual cofactors (window_dtype too) and
-    one bool mask, 20 MiB below 2^31 and 36 MiB above.  The build is
-    refused before allocating when hi exceeds 2^63 (past int64) or when that
-    total, table_nbytes, exceeds physical memory.  Each segment walks the
-    primes <= SMALL_P one BLOCK at a time, then the rest; p_minus starts at
-    its dtype's maximum and entries still there after the walk are primes.
-    Deterministic: rebuilding any sub-window yields identical values.
+    int8 omega), written in place one segment at a time.  A window of at
+    most SEGMENT integers is one segment, sieved by the caller into numpy's
+    own arrays.  A longer one is cut into an even number of equal segments
+    of at most SEGMENT, and its two halves are sieved by two processes at
+    once when two cores are free (_in_two): the outputs then lie in one
+    anonymous shared mapping, so that the child writes the caller's table.
+    Each process holds the scratch of one segment: the residual cofactors
+    (window_dtype too) and one bool mask, at most 20 MiB below 2^31 and
+    36 MiB above.  The build is refused before allocating when hi exceeds
+    2^63 (past int64) or when its total, table_nbytes, exceeds physical
+    memory.  Each segment walks the primes <= SMALL_P one BLOCK at a time,
+    then the rest; p_minus starts at its dtype's maximum and entries still
+    there after the walk are primes.  Deterministic: rebuilding any
+    sub-window, cut into any segments, yields identical values.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
@@ -210,13 +276,21 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
         raise ValueError(f"window [{lo}, {hi}) exceeds int64: need hi <= 2^63")
     size = hi - lo
     primes = primes_up_to(math.isqrt(hi - 1))
-    pmin = np.empty(size, dtype=window_dtype(hi))
-    pmax = np.zeros(size, dtype=window_dtype(hi))
-    omega = np.zeros(size, dtype=np.int8)
-    for seg_lo in range(lo, hi, SEGMENT):
-        seg_hi = min(seg_lo + SEGMENT, hi)
-        a, b = seg_lo - lo, seg_hi - lo
-        _sieve_segment(seg_lo, seg_hi, primes, pmin[a:b], pmax[a:b], omega[a:b])
+    dtype = np.dtype(window_dtype(hi))
+    n = _segments(size)
+    if n > 1:  # zero-filled, like np.zeros
+        shared = mmap.mmap(-1, (2 * dtype.itemsize + 1) * size)
+        pmin, pmax = (np.frombuffer(shared, dtype, size, k * dtype.itemsize * size) for k in (0, 1))
+        omega = np.frombuffer(shared, np.int8, size, 2 * dtype.itemsize * size)
+    else:  # numpy's arrays, which many small tables built in turn reuse from the heap
+        pmin, pmax, omega = np.empty(size, dtype), np.zeros(size, dtype), np.zeros(size, np.int8)
+    cuts = [size * i // n for i in range(n + 1)]
+
+    def segment(i: int) -> None:
+        a, b = cuts[i], cuts[i + 1]
+        _sieve_segment(lo + a, lo + b, primes, pmin[a:b], pmax[a:b], omega[a:b])
+
+    _in_two(segment, range(n))
     for arr in (pmin, pmax, omega, primes):
         arr.flags.writeable = False
     return FactorTable(lo=lo, hi=hi, p_minus=pmin, p_plus=pmax, omega=omega, primes=primes)

@@ -10,8 +10,10 @@ squarefree divisors depth-first, and a batch route that plans the
 squarefree d <= R with their values and residue classes (one depth-first
 walk, one CRT step per appended prime) once, then adds each d's value
 to its classes in a buffer starting at any lo.  The moment sums fill one
-sieve.CHUNK of [N, 2N) at a time from that plan and pass the chunk sums
-of their summand to math.fsum, so they hold no N-sized float array.
+sieve.CHUNK of [N, 2N) at a time from that plan, the first half of the
+chunks in a forked child when two cores are free, and pass the chunk sums
+of their summand to math.fsum in chunk order, so they hold no N-sized
+float array and keep their bits.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -217,23 +219,32 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     return w
 
 
-def _window_fsum(N: int, cfg: WeightConfig, table: FactorTable, term) -> float:
-    """Deterministic compensated sum of term over [N, 2N): fsum over per-chunk sums.
+def _window_sums(N: int, cfg: WeightConfig, table: FactorTable, term) -> list:
+    """term(w, a, b) for each sieve.CHUNK-sized chunk [a, b) of offsets from N, in chunk order.
 
-    The window is walked in sieve.CHUNK-sized chunks [a, b) of offsets from
-    N; term(w, a, b) forms the summand array from the weights w of that
-    chunk alone, so no N-sized array is built.
+    w holds the weights of that chunk alone, so no N-sized array is built.
+    The chunks are shared between two processes (sieve._in_two); each fills
+    its own chunk buffer, allocated at its first chunk, after the fork.
     """
     table.span(N, 2 * N + max(cfg.H.offsets))
     plan = _weight_plan(cfg)
-    buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
-    sums = []
-    for a in range(0, N, sieve.CHUNK):
+    buf = None
+
+    def chunk(a: int):
+        nonlocal buf
+        if buf is None:
+            buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
         b = min(a + sieve.CHUNK, N)
         w = buf[: b - a]
         _fill(plan, w, N + a)
-        sums.append(float(term(w, a, b).sum()))
-    return math.fsum(sums)
+        return term(w, a, b)
+
+    return sieve._in_two(chunk, range(0, N, sieve.CHUNK))
+
+
+def _window_fsum(N: int, cfg: WeightConfig, table: FactorTable, term) -> float:
+    """Deterministic compensated sum of the summand arrays term(w, a, b): fsum over the chunk sums."""
+    return math.fsum(_window_sums(N, cfg, table, lambda w, a, b: float(term(w, a, b).sum())))
 
 
 def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
@@ -375,19 +386,18 @@ def s_statistic(
     check_moment_args(N, cfg, spec=spec)
     smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
-    multi_hits = []
 
     def term(w, a, b):
         hits = sum(_wide_indicator(N, h, smask, table, a, b) for h in cfg.H.offsets)
-        multi_hits.append(int((hits >= 2).sum()))
-        return (hits - 1.0) * w * w
+        return float(((hits - 1.0) * w * w).sum()), int((hits >= 2).sum())
 
-    empirical = _window_fsum(N, cfg, table, term)
+    sums = _window_sums(N, cfg, table, term)
+    empirical = math.fsum(s for s, _ in sums)
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
         N, cfg, S_STATISTIC, empirical,
         _main_term(N, cfg, s_h, 0) * positivity_factor(cfg.k, cfg.l, c0v),
         r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
-        multi_hit_count=sum(multi_hits),
+        multi_hit_count=sum(c for _, c in sums),
     )

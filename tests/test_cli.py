@@ -71,6 +71,20 @@ def test_classify_prime(capsys):
     assert doc["results"]["threshold"] == 0.0
 
 
+def test_classify_builds_only_the_integer_it_reads(capsys, monkeypatch):
+    windows = []
+    build = cli.build_factor_table
+
+    def spy(lo, hi):
+        windows.append((lo, hi))
+        return build(lo, hi)
+
+    monkeypatch.setattr(cli, "build_factor_table", spy)
+    assert run_json(capsys, "classify", "--n", "49")["results"]["omega"] == 2
+    assert run_json(capsys, "classify", "--n", str(2**31 - 1))["results"]["is_prime"] == 1
+    assert windows == [(49, 50), (2**31 - 1, 2**31)]
+
+
 def test_density_value_and_manifest(capsys):
     doc = run_json(capsys, "density", "--r", "2", "--eps", "0.1")
     assert math.isclose(doc["results"]["value"], 2 * math.log(1.05 / 0.95), rel_tol=1e-12)

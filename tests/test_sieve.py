@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import tracemalloc
 
@@ -120,15 +121,17 @@ def test_subwindow_rebuild_is_identical(table_full_1e6):
 
 
 def test_segment_boundary_rebuild_is_identical(table_win_1e7):
-    # the 1e7 window spans three segments; a misaligned per-segment
-    # residual fix-up would show up next to the first boundary
+    # the 1e7 window is cut into four segments, two per process; a
+    # misaligned per-segment residual fix-up would show up next to a cut
     t = table_win_1e7
-    lo = t.lo + SEGMENT - 500
-    sub = build_factor_table(lo, lo + 1000)
-    a, b = lo - t.lo, lo - t.lo + 1000
-    assert np.array_equal(sub.p_minus, t.p_minus[a:b])
-    assert np.array_equal(sub.p_plus, t.p_plus[a:b])
-    assert np.array_equal(sub.omega, t.omega[a:b])
+    size = t.hi - t.lo
+    for cut in (size // 4, size // 2, 3 * size // 4):
+        lo = t.lo + cut - 500
+        sub = build_factor_table(lo, lo + 1000)
+        a, b = lo - t.lo, lo - t.lo + 1000
+        assert np.array_equal(sub.p_minus, t.p_minus[a:b])
+        assert np.array_equal(sub.p_plus, t.p_plus[a:b])
+        assert np.array_equal(sub.omega, t.omega[a:b])
 
 
 def _table_bytes(t):
@@ -179,21 +182,99 @@ def test_block_and_segment_sizes_do_not_change_the_table(monkeypatch, lo, hi):
     assert _table_bytes(build_factor_table(lo, hi)) == want
 
 
-def test_build_scratch_is_bounded_by_the_segment():
-    # the tracemalloc peak beyond the table's output arrays is the
-    # per-segment scratch: at most 40 MiB, and the same at N = 2^22 and 2^23
+def test_build_scratch_is_bounded_by_the_segment(monkeypatch, tmp_path):
+    # each process's scratch is its tracemalloc peak through its last
+    # segment less what it held at its first: one segment's, and the same
+    # at N = 2^22 (one segment, sieved by the caller) and 2^23 (two
+    # segments, one per process when two cores are free).  A forked child
+    # inherits the tracing and logs through a file.
+    log = tmp_path / "peaks"
+    sieve_segment = sieve._sieve_segment
+
+    def logged(*args):
+        held = tracemalloc.get_traced_memory()[0]
+        sieve_segment(*args)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {held} {tracemalloc.get_traced_memory()[1]}\n")
+
+    monkeypatch.setattr(sieve, "_sieve_segment", logged)
     scratch = {}
     for N in (2**22, 2**23):
+        log.write_text("")
         tracemalloc.start()
         try:
-            t = build_factor_table(N, 2 * N)
-            outputs = t.p_minus.nbytes + t.p_plus.nbytes + t.omega.nbytes
-            scratch[N] = tracemalloc.get_traced_memory()[1] - outputs
+            build_factor_table(N, 2 * N)
         finally:
             tracemalloc.stop()
-        del t
-    assert max(scratch.values()) <= 40 << 20, scratch
-    assert abs(scratch[2**23] - scratch[2**22]) < 1 << 20, scratch
+        held, peak = {}, {}
+        for line in log.read_text().splitlines():
+            pid, h, p = map(int, line.split())
+            held[pid], peak[pid] = min(held.get(pid, h), h), max(peak.get(pid, p), p)
+        scratch[N] = {pid: peak[pid] - held[pid] for pid in peak}
+    one_segment = SEGMENT * (4 + 1)  # int32 residuals and one bool mask
+    assert all(s <= one_segment + (1 << 20) for by_pid in scratch.values() for s in by_pid.values()), scratch
+    assert abs(max(scratch[2**23].values()) - max(scratch[2**22].values())) < 1 << 20, scratch
+    assert len(scratch[2**23]) == min(2, len(os.sched_getaffinity(0))), scratch
+
+
+def _one_process_table(lo, hi):
+    """The table of [lo, hi) from _sieve_segment over consecutive SEGMENTs, in the caller alone."""
+    primes = primes_up_to(math.isqrt(hi - 1))
+    dtype = sieve.window_dtype(hi)
+    pmin, pmax, omega = np.empty(hi - lo, dtype), np.zeros(hi - lo, dtype), np.zeros(hi - lo, np.int8)
+    for a in range(0, hi - lo, sieve.SEGMENT):
+        b = min(a + sieve.SEGMENT, hi - lo)
+        sieve._sieve_segment(lo + a, lo + b, primes, pmin[a:b], pmax[a:b], omega[a:b])
+    return pmin, pmax, omega
+
+
+@pytest.mark.parametrize("segment, lo, length", [
+    (1 << 16, 10**6, 2 << 16),  # 2 segments, one per process
+    (1 << 16, 10**6 + 7, (3 << 16) - 3),  # 3 segments' length, cut into 4
+    (1 << 16, 3 * 10**6 + 1, (5 << 16) - 1),  # 5 segments' length, cut into 6
+    (1 << 16, 2**31 - (1 << 16), (3 << 16) - 5),  # across 2^31: int64 outputs
+    (SEGMENT, 10**7, 2 * SEGMENT + 9),  # the real segment: cut into 4
+])
+def test_split_build_equals_one_process_reference(monkeypatch, segment, lo, length):
+    monkeypatch.setattr(sieve, "SEGMENT", segment)
+    t = build_factor_table(lo, lo + length)
+    for got, want in zip((t.p_minus, t.p_plus, t.omega), _one_process_table(lo, lo + length)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _square_or_raise_at(bad):
+    def job(x):
+        if x == bad:
+            raise ValueError(f"bad item {x}")
+        return x * x
+
+    return job
+
+
+def test_in_two_returns_results_in_item_order():
+    assert sieve._in_two(_square_or_raise_at(None), range(7)) == [x * x for x in range(7)]
+    assert sieve._in_two(_square_or_raise_at(None), []) == []
+    pids = sieve._in_two(lambda x: os.getpid(), range(4))
+    assert pids[2:] == [os.getpid()] * 2
+    assert pids[0] == pids[1] and (pids[0] != os.getpid()) == (len(os.sched_getaffinity(0)) >= 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad", [0, 6])  # items 0..2 are the child's half, 3..6 the caller's
+def test_in_two_raises_in_the_caller_and_leaves_no_child(bad):
+    with pytest.raises(ValueError, match=f"bad item {bad}"):
+        sieve._in_two(_square_or_raise_at(bad), range(7))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the job would end the caller itself")
+def test_in_two_raises_when_the_child_dies():
+    with pytest.raises(ChildProcessError, match="wait status"):
+        sieve._in_two(lambda x: os._exit(3) if x == 0 else x, range(2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("lo, hi", [

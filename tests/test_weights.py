@@ -461,6 +461,30 @@ def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypat
         assert rep.extra["multi_hit_count"] == int((hits >= 2).sum())
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_moments_of_several_chunks_equal_a_serial_sum_of_chunk_sums():
+    # N = 3 CHUNK + 5 makes four chunks, two per process when two cores are
+    # free; the reference sums the same chunks of full-width arrays in order
+    N, chunk = 3 * sieve.CHUNK + 5, sieve.CHUNK
+    t = build_factor_table(N, 2 * N + 9)
+    cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    w = lambda_r_batch(N, 2 * N, cfg, t)
+
+    def serial(full):
+        return math.fsum(float(full[a : a + chunk].sum()) for a in range(0, N, chunk))
+
+    smask = star_mask(spec, t)
+    wide = {h: weights._wide_indicator(N, h, smask, t, 0, N) for h in cfg.H.offsets}
+    hits = sum(wide.values())
+    assert moment_lemma1(N, cfg, t).empirical == serial(w * w)
+    assert moment_lemma2(N, cfg, 2, t).empirical == serial(w * w * weights._prime_indicator(N, 2, t, 0, N))
+    assert moment_lemma3(N, cfg, 2, spec, t).empirical == serial(w * w * wide[2])
+    rep = s_statistic(N, cfg, spec, t)
+    assert rep.empirical == serial((hits - 1.0) * w * w)
+    assert rep.extra["multi_hit_count"] == int((hits >= 2).sum()) > 0
+
+
 def _peak_bytes(fn, *args) -> int:
     """tracemalloc peak of one call."""
     tracemalloc.start()
