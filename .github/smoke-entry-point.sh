@@ -20,6 +20,9 @@ primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 # a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
 primegaps count-star --n-window 5000000 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 76070)'
+# 500 passes over the 78498 primes <= 1e6, shared with a forked child when two cores are free
+primegaps bv --n-window 1000000 --q-max 1000 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 27509.77015393265)'
 rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usage.err" || rc=$?
 test "$rc" -eq 2
 grep -q "primegaps s-stat: error:" "$tmp/usage.err"

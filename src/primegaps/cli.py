@@ -301,9 +301,13 @@ def cmd_bv_star(args):
 def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
-    # the [2, N] table and g's N + 1 floats, f's m_max floats, and mu's prime sieve
+    # the [2, N] table; g's N + 1 floats, then its support's int32 indices and
+    # float values, and in each of the two processes a pass's int32 residues
+    # and bincount's int64 copy of them: at most 36 B per integer; f's m_max
+    # floats and the Li temporaries of the main terms, at most 80 B per m;
+    # and mu's prime sieve
     mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
-    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 8 * (N + 1 + m_max))
+    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 36 * (N + 1) + 80 * m_max)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

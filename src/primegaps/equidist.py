@@ -12,6 +12,11 @@ optional weights (the weighted variant folds f into g(n) = sum f(m) over
 n = m * p) against a scalar main term M / phi(q).  Class totals mod q are
 the two halves of those mod 2q added, so only q in (q_max/2, q_max] takes
 a pass over the targets; each smaller q is reached by halving from one.
+The passes take int32 residues below 2^31.  When they cover more than
+sieve.SEGMENT residues in all, the tops are shared between the caller and
+one forked child when two cores are free (sieve._in_two); each process
+holds the residues of its own pass.  The rows come back by q and the
+total is summed in q order, so the report is the same either way.
 
 The cutoffs that theory phrases through log powers, such as
 q_max = sqrt(N) / ln^C N, are explicit parameters here.
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import balanced, density
+from . import balanced, density, sieve
 from .sieve import FactorTable, log_integral, window_dtype
 
 PRIMES_LE_N = "primes_le_N"
@@ -47,7 +52,7 @@ class DiscrepancyConfig:
             raise ValueError("star-set target needs a StarSetSpec")
         if self.target == STAR_SET_WINDOW and self.spec.N != self.N:
             raise ValueError(f"spec window base {self.spec.N} != N={self.N}")
-        if self.target == PRIMES_LE_N and self.q_max >= self.N:
+        if self.q_max >= self.N:
             raise ValueError(f"q_max={self.q_max} must stay below N={self.N}")
 
 
@@ -78,13 +83,14 @@ def _discrepancy(
 ) -> DiscrepancyReport:
     """Worst coprime-class deviation from main / phi(q) for q = 1 .. q_max.
 
-    With alt_main, each row also reports the deviation from alt_main / phi(q).
+    values are in window_dtype, whose residues each pass takes: int32 ones
+    are cheaper than int64.  With alt_main, each row also reports the
+    deviation from alt_main / phi(q).
     """
-    rows: list[QRow | None] = [None] * q_max
-    # every q <= q_max is top / 2^k for exactly one top in (q_max/2, q_max]
-    for top in range(q_max // 2 + 1, q_max + 1):
+    def chain(top: int) -> list[QRow]:
+        """Rows of top, top / 2, ... down to the first odd q, from one pass over values."""
         counts = _per_class_counts(values, top, weights)
-        q = top
+        out, q = [], top
         while True:
             coprime = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
             phi_q = coprime.size
@@ -96,19 +102,30 @@ def _discrepancy(
             if alt_main is not None:
                 alt_term = alt_main / phi_q
                 alt_dev = float(np.abs(cop - alt_term).max())
-            rows[q - 1] = QRow(q, int(coprime[i]), float(dev[i]), term, alt_dev, alt_term)
+            out.append(QRow(q, int(coprime[i]), float(dev[i]), term, alt_dev, alt_term))
             if q % 2:
-                break
+                return out
             q //= 2
             counts = counts.reshape(2, q).sum(axis=0)
+
+    # every q <= q_max is top / 2^k for exactly one top in (q_max/2, q_max]
+    tops = range(q_max // 2 + 1, q_max + 1)
+    if values.size * len(tops) > sieve.SEGMENT:
+        chains = sieve._in_two(chain, tops)
+    else:
+        chains = [chain(top) for top in tops]
+    rows = sorted((row for chain_rows in chains for row in chain_rows), key=lambda row: row.q)
     total = math.fsum(r.max_abs_dev for r in rows)
     return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=main)
 
 
 def _target_values(cfg: DiscrepancyConfig, table: FactorTable) -> np.ndarray:
+    """The primes <= N or the star-set members, ascending, in window_dtype."""
     if cfg.target == PRIMES_LE_N:
-        return 2 + np.flatnonzero(table.omega[table.span(2, cfg.N + 1)] == 1)
-    return cfg.spec.N + np.flatnonzero(balanced.star_mask(cfg.spec, table))
+        lo, hi, mask = 2, cfg.N + 1, table.omega[table.span(2, cfg.N + 1)] == 1
+    else:
+        lo, hi, mask = cfg.N, 2 * cfg.N, balanced.star_mask(cfg.spec, table)
+    return (lo + np.flatnonzero(mask)).astype(window_dtype(hi))
 
 
 def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:
@@ -158,7 +175,7 @@ def weighted_discrepancy(
         raise ValueError(f"need f values for m = 1..{m_max}, got {f.size}")
     if not np.all(np.isfinite(f[:m_max])) or np.abs(f[:m_max]).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("f must be finite with |f(m)| <= 1")
-    primes = _target_values(cfg, table)
+    primes = _target_values(cfg, table).astype(np.int64)  # int64 indices scatter faster
     # g(n) = sum_{n = m p} f(m); a product m p with gcd(m, q) > 1 falls in a
     # class that is not coprime to q, so it drops out of every row maximum
     g = np.zeros(N + 1)

@@ -293,6 +293,8 @@ def test_computation_error_exit_1(capsys):
                  ["moments", "--variant", "lemma3", *tup, *star4], ["s-stat", *tup, *star4],
                  ["moments", "--variant", "lemma2", *tup, "--n-window", "3000000", "--h", "1"],
                  ["moments", "--variant", "lemma3", *tup, "--n-window", "3000000", "--h", "1"],
+                 # a star-set q_max >= N would cost a q_max-sized pass per top
+                 ["bv-star", "--n-window", "1000", "--q-max", "100000000", "--r", "2", "--eps", "0.3"],
                  # an R past the divisor budget is refused before the primes <= R are sieved
                  ["moments", "--variant", "lemma1", "--n-window", "1000", "--k", "3", "--l", "1",
                   "--big-r", "2e8"]):
@@ -306,6 +308,24 @@ def test_computation_error_exit_1(capsys):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16, argv
+
+
+@pytest.mark.parametrize("N, alpha", [(10**6, "0.5"), (10**5, "0.05")])
+def test_bv_weighted_peak_stays_within_its_memory_charge(N, alpha, monkeypatch):
+    # the charge covers g, its support and the residues of a pass (in both
+    # processes when the passes fork) and the main terms' Li temporaries,
+    # which dominate at small alpha; the caller's traced peak stays below it
+    charged = []
+    monkeypatch.setattr(cli, "check_fits", charged.append)
+    args = build_parser().parse_args(["bv-weighted", "--n-window", str(N), "--q-max", "30",
+                                      "--alpha", alpha, "--f", "const1"])
+    tracemalloc.start()
+    try:
+        args.func(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak <= charged[0]
 
 
 def test_oversized_window_fails_before_allocating(capsys):

@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from primegaps import balanced
+from primegaps import balanced, cli, sieve
 from primegaps.balanced import StarSetSpec, count_star, star_mask
 from primegaps.density import c0
 from primegaps.equidist import (
@@ -30,6 +31,9 @@ def test_config_validation():
         DiscrepancyConfig(N=100, q_max=10, target=STAR_SET_WINDOW)
     with pytest.raises(ValueError):
         DiscrepancyConfig(N=100, q_max=100)
+    # the star set too: a q_max past the window would cost one pass per top
+    with pytest.raises(ValueError, match="must stay below N"):
+        DiscrepancyConfig(N=100, q_max=100, target=STAR_SET_WINDOW, spec=StarSetSpec(N=100, r=2, eps=0.3))
     # a star spec over another window base would silently count that window
     with pytest.raises(ValueError, match="window base"):
         DiscrepancyConfig(N=50, q_max=5, target=STAR_SET_WINDOW, spec=StarSetSpec(N=1000, r=2, eps=0.3))
@@ -234,3 +238,60 @@ def test_kernel_rows_match_direct_counts(
         assert (r.q, r.worst_a) == (q, a)
         assert math.isclose(r.max_abs_dev, dev, rel_tol=1e-9)
         assert math.isclose(r.main_term, term, rel_tol=1e-12)
+
+
+def _spy_forks(monkeypatch) -> list:
+    """Patch sieve._in_two to record the item count of every call that may fork, then run it."""
+    calls, in_two = [], sieve._in_two
+
+    def spy(job, items):
+        if len(items) >= 2:
+            calls.append(len(items))
+        return in_two(job, items)
+
+    monkeypatch.setattr(sieve, "_in_two", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [None, {0}])
+def test_forked_kernel_rows_match_direct_counts(cpus, table_full_1e6, table_win_1e6, monkeypatch):
+    # at N = 1e6 every call below covers more than SEGMENT residues, so its
+    # tops are shared with a forked child when two cores are free; on one
+    # core they run inline.  Both give the rows of a recount without folding.
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    forks = _spy_forks(monkeypatch)
+    li, N = log_integral, 10**6
+    ps = np.array(primes_up_to(N))
+    rep = bv_prime_discrepancy(DiscrepancyConfig(N=N, q_max=1000), table_full_1e6)
+    rows = [(r.q, r.worst_a, r.max_abs_dev, r.main_term) for r in rep.per_q]
+    assert rows == _direct_rows(ps, None, 1000, li(N))
+
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    cfg = DiscrepancyConfig(N=N, q_max=1000, target=STAR_SET_WINDOW, spec=spec)
+    rep = bv_star_discrepancy(cfg, table_win_1e6)
+    members, c0v = N + np.flatnonzero(star_mask(spec, table_win_1e6)), c0(2, 0.3).value
+    want = _direct_rows(members, None, 1000, c0v * li(N))
+    alt = _direct_rows(members, None, 1000, c0v * (li(2 * N) - li(N)))
+    rows = [(r.q, r.worst_a, r.max_abs_dev, r.main_term, r.alt_max_abs_dev, r.alt_main_term)
+            for r in rep.per_q]
+    assert rows == [w + a[2:] for w, a in zip(want, alt)]
+
+    # f = 1: g counts the pairs (m, p), so its class sums are exact integers
+    rep = weighted_discrepancy(DiscrepancyConfig(N=N, q_max=30), 0.5, np.ones(1000), table_full_1e6)
+    values = np.concatenate([m * ps[ps <= N // m] for m in range(1, 1001)])
+    main = math.fsum(li(max(N / m, 2.0)) for m in range(1, 1001))
+    rows = [(r.q, r.worst_a, r.max_abs_dev, r.main_term) for r in rep.per_q]
+    assert rows == _direct_rows(values, None, 30, main)
+    assert forks == [500, 500, 15]
+
+
+def test_small_discrepancy_calls_do_not_fork(tmp_path, monkeypatch):
+    # the N = 1e5 calls of the study benchmark cover at most 5e5 residues
+    forks = _spy_forks(monkeypatch)
+    N = ["--n-window", "100000"]
+    for argv in (["bv", *N, "--q-max", "100"],
+                 ["bv-star", *N, "--q-max", "100", "--r", "2", "--eps", "0.3"],
+                 ["bv-weighted", *N, "--q-max", "10", "--alpha", "0.5", "--f", "mobius"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert forks == []
