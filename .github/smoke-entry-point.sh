@@ -20,6 +20,12 @@ primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 # a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
 primegaps count-star --n-window 5000000 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 76070)'
+# a table over one 2^20 chunk and under one segment: two half-size segments, one per process
+primegaps count-star --n-window 2000000 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 31594)'
+# a moment window of one chunk over half a chunk: its two halves filled by two processes
+primegaps moments --variant lemma1 --n-window 1000000 --k 6 --l 1 --big-r 1000 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4436868106.718203)'
 # 500 passes over the 78498 primes <= 1e6, shared with a forked child when two cores are free
 primegaps bv --n-window 1000000 --q-max 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 27509.77015393265)'

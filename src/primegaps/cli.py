@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes, table_nbytes
+from .sieve import BLOCK, build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes, table_nbytes
 
 ARTIFACT_VERSION = __version__
 
@@ -303,11 +303,12 @@ def cmd_bv_weighted(args):
     m_max = int(N ** (1.0 - args.alpha))
     # the [2, N] table; g's N + 1 floats, then its support's int32 indices and
     # float values, and in each of the two processes a pass's int32 residues
-    # and bincount's int64 copy of them: at most 36 B per integer; f's m_max
-    # floats and the Li temporaries of the main terms, at most 80 B per m;
-    # and mu's prime sieve
+    # and bincount's int64 copy of them: at most 36 B per integer; f and the
+    # main terms, 16 B per m, and the Li temporaries of one sieve.BLOCK of m,
+    # at most 80 B per m; and mu's prime sieve
     mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
-    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 36 * (N + 1) + 80 * m_max)
+    li_block = 80 * min(m_max, BLOCK)
+    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 36 * (N + 1) + 16 * m_max + li_block)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

@@ -12,11 +12,14 @@ optional weights (the weighted variant folds f into g(n) = sum f(m) over
 n = m * p) against a scalar main term M / phi(q).  Class totals mod q are
 the two halves of those mod 2q added, so only q in (q_max/2, q_max] takes
 a pass over the targets; each smaller q is reached by halving from one.
-The passes take int32 residues below 2^31.  When they cover more than
-sieve.SEGMENT residues in all, the tops are shared between the caller and
-one forked child when two cores are free (sieve._in_two); each process
-holds the residues of its own pass.  The rows come back by q and the
-total is summed in q order, so the report is the same either way.
+The passes take int32 residues below 2^31, as values - (values // q) * q:
+numpy divides by a scalar through libdivide, and has no such route for
+%.  When the passes cover more than sieve.SEGMENT residues in all,
+the tops are shared between the caller and one forked child when two
+cores are free (sieve._in_two); each process holds the residues of its
+own pass.  The rows come back by q and the total is summed in q order, so
+the report is the same either way.  The weighted variant's main terms
+sum Li(N/m) one sieve.BLOCK of m at a time.
 
 The cutoffs that theory phrases through log powers, such as
 q_max = sqrt(N) / ln^C N, are explicit parameters here.
@@ -74,7 +77,16 @@ class DiscrepancyReport:
 
 
 def _per_class_counts(values: np.ndarray, q: int, weights: np.ndarray | None = None):
-    return np.bincount(values % q, weights=weights, minlength=q)
+    """Totals of the positive values (or of their weights) in each class mod q.
+
+    The residues are values - (values // q) * q, equal to values % q for
+    positive values, in one buffer reused in place: numpy divides by a
+    scalar through libdivide but has no such route for %.
+    """
+    res = np.floor_divide(values, q)
+    res *= q
+    np.subtract(values, res, out=res)
+    return np.bincount(res, weights=weights, minlength=q)
 
 
 def _discrepancy(
@@ -185,6 +197,11 @@ def weighted_discrepancy(
     support = np.flatnonzero(g).astype(window_dtype(N + 1))
     g_vals = g[support]
     del g  # keep only the support of g through the per-q passes
-    main_terms = f[:m_max] * log_integral(np.maximum(N / np.arange(1, m_max + 1), 2.0))
+    # one sieve.BLOCK of m at a time bounds Li's temporaries; Li gives each
+    # element the same value in any array, and fsum is exactly rounded
+    main_terms = np.empty(m_max)
+    for a in range(0, m_max, sieve.BLOCK):
+        b = min(a + sieve.BLOCK, m_max)
+        main_terms[a:b] = f[a:b] * log_integral(np.maximum(N / np.arange(a + 1, b + 1), 2.0))
     rep = _discrepancy(support, g_vals, cfg.q_max, math.fsum(main_terms))
     return replace(rep, main_term_used=log_integral(N))

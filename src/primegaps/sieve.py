@@ -6,12 +6,13 @@ prime factor and number of prime factors counted with multiplicity, built
 by a segmented Eratosthenes-style pass.  Within each SEGMENT the primes up
 to SMALL_P, which hit most of the entries, are walked one cache-sized
 BLOCK at a time, so their passes stay in cache; the larger primes walk the
-whole segment.  A window longer than one SEGMENT has its two halves
-sieved by two processes at once when two cores are free (_in_two, which
-the moment sums share).  Below 2^31 the table's P^- and P^+ and the
-cofactor left after dividing out the sieving primes are int32, above it
-int64 (window_dtype); Omega is int8.  P^- starts at its dtype's maximum
-and is lowered by one in-place minimum per prime.
+whole segment.  A window longer than one CHUNK has its two halves sieved
+by two processes at once when two cores are free (_in_two, which the
+moment sums and the discrepancy passes share), into one shared mapping
+(_shared).  Below 2^31 the table's P^- and P^+ and the cofactor left
+after dividing out the sieving primes are int32, above it int64
+(window_dtype); Omega is int8.  P^- starts at its dtype's maximum and is
+lowered by one in-place minimum per prime.
 
 All downstream window scans (balance classification, star-set counts,
 weight sums, discrepancy sums) read these arrays through FactorTable.span,
@@ -39,7 +40,7 @@ import numpy as np
 SEGMENT = 1 << 22  # integers per sieve segment
 BLOCK = 1 << 17  # integers per cache-sized block of the small-prime walk
 SMALL_P = 256  # primes up to this are walked one BLOCK at a time
-CHUNK = 1 << 20  # integers per chunk of the window scans above the table
+CHUNK = 1 << 20  # integers per chunk of the window scans; a longer build is split
 
 _LI_OFFSET = 1.045163780117493  # li(2), subtracted so Li(2) = 0
 
@@ -233,8 +234,22 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
 
 
 def _segments(size: int) -> int:
-    """Segments of at most SEGMENT integers for a build of size: one if it fits, else the fewest even number."""
-    return 1 if size <= SEGMENT else 2 * -(-size // (2 * SEGMENT))
+    """Segments of at most SEGMENT integers for a build of size: one up to CHUNK, else the fewest even number."""
+    return 1 if size <= CHUNK else 2 * -(-size // (2 * SEGMENT))
+
+
+def _shared(size: int, *dtypes) -> list[np.ndarray]:
+    """Zero-filled arrays of size elements, one per dtype, in one anonymous shared mapping.
+
+    A child forked by _in_two writes into the caller's arrays through it.
+    """
+    dtypes = [np.dtype(d) for d in dtypes]
+    mapping = mmap.mmap(-1, size * sum(d.itemsize for d in dtypes))
+    out, offset = [], 0
+    for d in dtypes:
+        out.append(np.frombuffer(mapping, d, size, offset))
+        offset += d.itemsize * size
+    return out
 
 
 def table_nbytes(lo: int, hi: int) -> int:
@@ -253,11 +268,12 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 9 bytes
     per integer below 2^31 and 17 above (p_minus and p_plus in window_dtype,
     int8 omega), written in place one segment at a time.  A window of at
-    most SEGMENT integers is one segment, sieved by the caller into numpy's
-    own arrays.  A longer one is cut into an even number of equal segments
-    of at most SEGMENT, and its two halves are sieved by two processes at
-    once when two cores are free (_in_two): the outputs then lie in one
-    anonymous shared mapping, so that the child writes the caller's table.
+    most CHUNK integers is one segment, sieved by the caller into numpy's
+    own arrays.  A longer one is cut into the fewest even number of equal
+    segments of at most SEGMENT, and its two halves are sieved by two
+    processes at once when two cores are free (_in_two): the outputs then
+    lie in one anonymous shared mapping (_shared), so that the child
+    writes the caller's table.
     Each process holds the scratch of one segment: the residual cofactors
     (window_dtype too) and one bool mask, at most 20 MiB below 2^31 and
     36 MiB above.  The build is refused before allocating when hi exceeds
@@ -279,9 +295,7 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     dtype = np.dtype(window_dtype(hi))
     n = _segments(size)
     if n > 1:  # zero-filled, like np.zeros
-        shared = mmap.mmap(-1, (2 * dtype.itemsize + 1) * size)
-        pmin, pmax = (np.frombuffer(shared, dtype, size, k * dtype.itemsize * size) for k in (0, 1))
-        omega = np.frombuffer(shared, np.int8, size, 2 * dtype.itemsize * size)
+        pmin, pmax, omega = _shared(size, dtype, dtype, np.int8)
     else:  # numpy's arrays, which many small tables built in turn reuse from the heap
         pmin, pmax, omega = np.empty(size, dtype), np.zeros(size, dtype), np.zeros(size, np.int8)
     cuts = [size * i // n for i in range(n + 1)]

@@ -13,7 +13,8 @@ to its classes in a buffer starting at any lo.  The moment sums fill one
 sieve.CHUNK of [N, 2N) at a time from that plan, the first half of the
 chunks in a forked child when two cores are free, and pass the chunk sums
 of their summand to math.fsum in chunk order, so they hold no N-sized
-float array and keep their bits.
+float array and keep their bits.  A window of one chunk longer than half
+a chunk is filled in two halves the same way, in one shared mapping.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -211,7 +212,10 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     d <= R, so no factorizations are needed; the optional table is only
     range-checked for interface parity with the oracle.  It plans the
     moduli once (_weight_plan) and writes them into a new vector (_fill).
+    An empty or reversed range is refused, as build_factor_table refuses it.
     """
+    if hi <= lo:
+        raise ValueError(f"need hi > lo, got [{lo}, {hi})")
     if table is not None:
         table.span(lo, hi)
     w = np.empty(hi - lo, dtype=np.float64)
@@ -224,10 +228,19 @@ def _window_sums(N: int, cfg: WeightConfig, table: FactorTable, term) -> list:
 
     w holds the weights of that chunk alone, so no N-sized array is built.
     The chunks are shared between two processes (sieve._in_two); each fills
-    its own chunk buffer, allocated at its first chunk, after the fork.
+    its own chunk buffer, allocated at its first chunk, after the fork.  A
+    window of one chunk longer than CHUNK // 2 has its two halves filled by
+    two processes in one shared mapping, and the caller takes term over the
+    whole of it; _fill gives each element the same additions wherever its
+    range starts, so the weights and the sum keep their bits.
     """
     table.span(N, 2 * N + max(cfg.H.offsets))
     plan = _weight_plan(cfg)
+    if sieve.CHUNK // 2 < N <= sieve.CHUNK:
+        (w,) = sieve._shared(N, np.float64)
+        cuts = (0, N // 2, N)
+        sieve._in_two(lambda i: _fill(plan, w[cuts[i] : cuts[i + 1]], N + cuts[i]), (0, 1))
+        return [term(w, 0, N)]
     buf = None
 
     def chunk(a: int):

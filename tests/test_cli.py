@@ -280,6 +280,9 @@ def test_computation_error_exit_1(capsys):
     for cmd in (["weights", "--n-window", "100", "--l", "1", "--big-r", "10"], ["singular-series"]):
         assert main([*cmd, "--k", "0"]) == 1
         assert capsys.readouterr().err == "error: need k >= 1, got 0\n"
+    # a negative window is refused as the table build refuses it
+    assert main(["weights", "--n-window", "-5", "--k", "3", "--l", "1", "--big-r", "10"]) == 1
+    assert capsys.readouterr().err == "error: need hi > lo, got [-5, -10)\n"
     rc = main(["density", "--r", "1000000", "--eps", "0.1"])
     assert rc == 1
     # r out of range, and an r or shift the moment sums reject, fail before
@@ -310,11 +313,13 @@ def test_computation_error_exit_1(capsys):
         assert peak < 1 << 16, argv
 
 
-@pytest.mark.parametrize("N, alpha", [(10**6, "0.5"), (10**5, "0.05")])
+@pytest.mark.parametrize("N, alpha", [(10**6, "0.5"), (10**5, "0.05"), (10**6, "0.05")])
 def test_bv_weighted_peak_stays_within_its_memory_charge(N, alpha, monkeypatch):
     # the charge covers g, its support and the residues of a pass (in both
-    # processes when the passes fork) and the main terms' Li temporaries,
-    # which dominate at small alpha; the caller's traced peak stays below it
+    # processes when the passes fork), and f, the main terms and the Li
+    # temporaries of one block of m, which dominate at small alpha (m_max is
+    # under one block at N = 1e5, about four at 1e6); the caller's traced
+    # peak stays below it
     charged = []
     monkeypatch.setattr(cli, "check_fits", charged.append)
     args = build_parser().parse_args(["bv-weighted", "--n-window", str(N), "--q-max", "30",

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from primegaps import balanced, cli, sieve
+from primegaps import balanced, cli, equidist, sieve
 from primegaps.balanced import StarSetSpec, count_star, star_mask
 from primegaps.density import c0
 from primegaps.equidist import (
@@ -240,6 +240,21 @@ def test_kernel_rows_match_direct_counts(
         assert math.isclose(r.main_term, term, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_per_class_counts_equal_bincount_of_remainders(dtype):
+    # residues by scalar division equal values % q for positive values, up
+    # to the largest int32, with and without weights
+    rng = np.random.default_rng(0)
+    top = np.iinfo(np.int32).max
+    values = np.concatenate([np.arange(1, 300), rng.integers(1, top, 5000, endpoint=True),
+                             np.arange(top - 300, top + 1)]).astype(dtype)
+    weights = rng.standard_normal(values.size)
+    for q in (1, 2, 3, 30, 997, 1000, 65536, 10**6 + 3):
+        for w in (None, weights):
+            got = equidist._per_class_counts(values, q, w)
+            assert np.array_equal(got, np.bincount(values % q, weights=w, minlength=q)), (q, w is None)
+
+
 def _spy_forks(monkeypatch) -> list:
     """Patch sieve._in_two to record the item count of every call that may fork, then run it."""
     calls, in_two = [], sieve._in_two
@@ -287,11 +302,17 @@ def test_forked_kernel_rows_match_direct_counts(cpus, table_full_1e6, table_win_
 
 
 def test_small_discrepancy_calls_do_not_fork(tmp_path, monkeypatch):
-    # the N = 1e5 calls of the study benchmark cover at most 5e5 residues
+    # the N = 1e5 calls of the study benchmark: the discrepancy passes
+    # cover at most 5e5 residues, the tables are under one CHUNK and the
+    # moment windows are one chunk no longer than CHUNK // 2
     forks = _spy_forks(monkeypatch)
     N = ["--n-window", "100000"]
-    for argv in (["bv", *N, "--q-max", "100"],
-                 ["bv-star", *N, "--q-max", "100", "--r", "2", "--eps", "0.3"],
-                 ["bv-weighted", *N, "--q-max", "10", "--alpha", "0.5", "--f", "mobius"]):
+    star = ["--r", "2", "--eps", "0.3"]
+    moment = [*N, "--k", "3", "--l", "1", "--big-r", repr((10**5) ** 0.25), *star]
+    weight = [*N, "--k", "3", "--l", "1", "--big-r", repr((10**5) ** 0.5)]
+    for argv in (["bv", *N, "--q-max", "100"], ["bv-star", *N, "--q-max", "100", *star],
+                 ["bv-weighted", *N, "--q-max", "10", "--alpha", "0.5", "--f", "mobius"],
+                 ["count-star", *N, *star], ["moments", "--variant", "lemma3", "--h", "2", *moment],
+                 ["s-stat", *moment], ["weights", *weight], ["weights", *weight, "--format", "csv"]):
         assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
     assert forks == []

@@ -178,16 +178,18 @@ def test_block_and_segment_sizes_do_not_change_the_table(monkeypatch, lo, hi):
     # [2, 2^16) has sqrt(hi) < SMALL_P, so only the block walk runs there
     want = _table_bytes(build_factor_table(lo, hi))
     monkeypatch.setattr(sieve, "SEGMENT", 5000)
+    monkeypatch.setattr(sieve, "CHUNK", 5000)  # builds over one CHUNK are cut
     monkeypatch.setattr(sieve, "BLOCK", 777)
     assert _table_bytes(build_factor_table(lo, hi)) == want
 
 
 def test_build_scratch_is_bounded_by_the_segment(monkeypatch, tmp_path):
     # each process's scratch is its tracemalloc peak through its last
-    # segment less what it held at its first: one segment's, and the same
-    # at N = 2^22 (one segment, sieved by the caller) and 2^23 (two
-    # segments, one per process when two cores are free).  A forked child
-    # inherits the tracing and logs through a file.
+    # segment less what it held at its first: at most one segment's, and
+    # the same at N = 2^23 (two segments, one per process when two cores
+    # are free) and 2^24 (four segments, two per process).  A build just
+    # over CHUNK is cut into two half-size segments, one per process.  A
+    # forked child inherits the tracing and logs through a file.
     log = tmp_path / "peaks"
     sieve_segment = sieve._sieve_segment
 
@@ -199,22 +201,22 @@ def test_build_scratch_is_bounded_by_the_segment(monkeypatch, tmp_path):
 
     monkeypatch.setattr(sieve, "_sieve_segment", logged)
     scratch = {}
-    for N in (2**22, 2**23):
+    for lo, hi in ((2**23, 2**24), (2**24, 2**25), (2**20, 2**20 + sieve.CHUNK + 1)):
         log.write_text("")
         tracemalloc.start()
         try:
-            build_factor_table(N, 2 * N)
+            build_factor_table(lo, hi)
         finally:
             tracemalloc.stop()
         held, peak = {}, {}
         for line in log.read_text().splitlines():
             pid, h, p = map(int, line.split())
             held[pid], peak[pid] = min(held.get(pid, h), h), max(peak.get(pid, p), p)
-        scratch[N] = {pid: peak[pid] - held[pid] for pid in peak}
+        scratch[hi - lo] = {pid: peak[pid] - held[pid] for pid in peak}
     one_segment = SEGMENT * (4 + 1)  # int32 residuals and one bool mask
     assert all(s <= one_segment + (1 << 20) for by_pid in scratch.values() for s in by_pid.values()), scratch
-    assert abs(max(scratch[2**23].values()) - max(scratch[2**22].values())) < 1 << 20, scratch
-    assert len(scratch[2**23]) == min(2, len(os.sched_getaffinity(0))), scratch
+    assert abs(max(scratch[2**24].values()) - max(scratch[2**23].values())) < 1 << 20, scratch
+    assert all(len(by_pid) == min(2, len(os.sched_getaffinity(0))) for by_pid in scratch.values()), scratch
 
 
 def _one_process_table(lo, hi):
@@ -234,8 +236,11 @@ def _one_process_table(lo, hi):
     (1 << 16, 3 * 10**6 + 1, (5 << 16) - 1),  # 5 segments' length, cut into 6
     (1 << 16, 2**31 - (1 << 16), (3 << 16) - 5),  # across 2^31: int64 outputs
     (SEGMENT, 10**7, 2 * SEGMENT + 9),  # the real segment: cut into 4
+    (SEGMENT, 2, 2 * 10**6 + 15),  # [2, 2e6 + 17), over one CHUNK: cut into 2
 ])
 def test_split_build_equals_one_process_reference(monkeypatch, segment, lo, length):
+    # builds over one CHUNK are cut, and CHUNK <= SEGMENT as in the module
+    monkeypatch.setattr(sieve, "CHUNK", min(segment, sieve.CHUNK))
     monkeypatch.setattr(sieve, "SEGMENT", segment)
     t = build_factor_table(lo, lo + length)
     for got, want in zip((t.p_minus, t.p_plus, t.omega), _one_process_table(lo, lo + length)):

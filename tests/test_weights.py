@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import tracemalloc
 from math import factorial
 
@@ -428,11 +429,12 @@ def test_out_of_range_R_warns(table_win_1e4):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("chunk", [1000, 999])
+@pytest.mark.parametrize("chunk", [1000, 999, 15000])
 @pytest.mark.parametrize("R", [10.0, 300.0])
 def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypatch, chunk, R):
     # 1000 splits [N, 2N) into 10 whole chunks, 999 leaves a ragged last
-    # one; the shifts n + h and the star slice cross every chunk end, and
+    # one, and 15000 makes one chunk longer than CHUNK // 2, filled in two
+    # halves; the shifts n + h and the star slice cross every chunk end, and
     # R = 300 adds moduli above BLOCK_MAX_D.  Reference: fsum of the sums
     # of the same slices of each full-width expression.
     N, t = 10**4, table_win_1e4
@@ -483,6 +485,32 @@ def test_moments_of_several_chunks_equal_a_serial_sum_of_chunk_sums():
     rep = s_statistic(N, cfg, spec, t)
     assert rep.empirical == serial((hits - 1.0) * w * w)
     assert rep.extra["multi_hit_count"] == int((hits >= 2).sum()) > 0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_one_chunk_moments_equal_on_one_core(monkeypatch):
+    # N = 1e6 is one chunk longer than CHUNK // 2: its two halves are filled
+    # by two processes when two cores are free, and by the caller alone on
+    # one; both give the sum of the vector that one fill writes
+    N = 10**6
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    k3 = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.5)
+    k6 = WeightConfig(H=generate_tuple(6), l=1, R=N**0.5)
+    small = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
+    t = build_factor_table(N, 2 * N + max(k6.H.offsets) + 1)
+    calls, in_two = [], sieve._in_two
+    monkeypatch.setattr(sieve, "_in_two", lambda job, items: calls.append(len(items)) or in_two(job, items))
+
+    def run():
+        return (moment_lemma1(N, k3, t), moment_lemma1(N, k6, t), moment_lemma2(N, small, 2, t),
+                moment_lemma3(N, small, 2, spec, t), s_statistic(N, small, spec, t))
+
+    both = run()
+    assert calls == [2] * 5
+    w = lambda_r_batch(N, 2 * N, k3)
+    assert both[0].empirical == math.fsum([float((w * w).sum())])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run() == both
 
 
 def _peak_bytes(fn, *args) -> int:
