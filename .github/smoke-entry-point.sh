@@ -26,6 +26,13 @@ primegaps count-star --n-window 2000000 --r 2 --eps 0.3 \
 # a moment window of one chunk over half a chunk: its two halves filled by two processes
 primegaps moments --variant lemma1 --n-window 1000000 --k 6 --l 1 --big-r 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4436868106.718203)'
+# three chunks with their star rows, the first in a forked child when two cores are free
+primegaps s-stat --n-window 3000000 --k 3 --l 1 --big-r 41 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["empirical"], r["multi_hit_count"]) != (-37671227.59612439, 94686))'
+primegaps moments --variant lemma3 --h 2 --n-window 3000000 --k 3 --l 1 --big-r 41 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 10127752.214837193)'
+primegaps count-star --n-window 3000000 --r 3 --eps 0.3 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 4876)'
 # 500 passes over the 78498 primes <= 1e6, shared with a forked child when two cores are free
 primegaps bv --n-window 1000000 --q-max 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 27509.77015393265)'

@@ -303,12 +303,13 @@ def cmd_bv_weighted(args):
     m_max = int(N ** (1.0 - args.alpha))
     # the [2, N] table; g's N + 1 floats, then its support's int32 indices and
     # float values, and in each of the two processes a pass's int32 residues
-    # and bincount's int64 copy of them: at most 36 B per integer; f and the
-    # main terms, 16 B per m, and the Li temporaries of one sieve.BLOCK of m,
-    # at most 80 B per m; and mu's prime sieve
+    # and bincount's int64 copy of them: at most 36 B per integer; f with,
+    # while g is scattered, the m with f(m) != 0 and where their pairs start
+    # and end, and later the main terms: at most 32 B per m; the temporaries
+    # of one sieve.BLOCK of (m, p) pairs, or of Li over one BLOCK of m: at
+    # most 80 B per element; and mu's prime sieve
     mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
-    li_block = 80 * min(m_max, BLOCK)
-    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 36 * (N + 1) + 16 * m_max + li_block)
+    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 36 * (N + 1) + 32 * m_max + 80 * BLOCK)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

@@ -19,7 +19,8 @@ the tops are shared between the caller and one forked child when two
 cores are free (sieve._in_two); each process holds the residues of its
 own pass.  The rows come back by q and the total is summed in q order, so
 the report is the same either way.  The weighted variant's main terms
-sum Li(N/m) one sieve.BLOCK of m at a time.
+sum Li(N/m) one sieve.BLOCK of m at a time, and its g is scattered one
+sieve.BLOCK of pairs (m, p) at a time.
 
 The cutoffs that theory phrases through log powers, such as
 q_max = sqrt(N) / ln^C N, are explicit parameters here.
@@ -132,12 +133,15 @@ def _discrepancy(
 
 
 def _target_values(cfg: DiscrepancyConfig, table: FactorTable) -> np.ndarray:
-    """The primes <= N or the star-set members, ascending, in window_dtype."""
+    """The primes <= N or the star-set members, ascending, in window_dtype.
+
+    The members are collected one sieve.CHUNK of the window at a time.
+    """
+    N = cfg.N
     if cfg.target == PRIMES_LE_N:
-        lo, hi, mask = 2, cfg.N + 1, table.omega[table.span(2, cfg.N + 1)] == 1
-    else:
-        lo, hi, mask = cfg.N, 2 * cfg.N, balanced.star_mask(cfg.spec, table)
-    return (lo + np.flatnonzero(mask)).astype(window_dtype(hi))
+        return (2 + np.flatnonzero(table.omega[table.span(2, N + 1)] == 1)).astype(window_dtype(N + 1))
+    rows = ((a, balanced._star_rows(cfg.spec, table, a, b)) for a, b in balanced._chunks(N, table))
+    return np.concatenate([(N + a + np.flatnonzero(star)).astype(window_dtype(2 * N)) for a, star in rows])
 
 
 def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:
@@ -189,11 +193,22 @@ def weighted_discrepancy(
         raise ValueError("f must be finite with |f(m)| <= 1")
     primes = _target_values(cfg, table).astype(np.int64)  # int64 indices scatter faster
     # g(n) = sum_{n = m p} f(m); a product m p with gcd(m, q) > 1 falls in a
-    # class that is not coprime to q, so it drops out of every row maximum
+    # class that is not coprime to q, so it drops out of every row maximum;
+    # the pairs (m, p <= N/m) with f(m) != 0, listed by ascending m, are
+    # added sieve.BLOCK at a time; np.add.at adds repeated products in list
+    # order, so each g(n) gets its f(m) in ascending m from 0.0
+    ms = np.flatnonzero(f[:m_max]) + 1
+    ends = np.cumsum(np.searchsorted(primes, N // ms, side="right"))  # pi(N/m) pairs per m, accumulated
+    starts = np.concatenate(([0], ends[:-1]))
     g = np.zeros(N + 1)
-    for m, fm in enumerate(f[:m_max].tolist(), start=1):
-        if fm:
-            g[m * primes[: np.searchsorted(primes, N // m, side="right")]] += fm
+    for k0 in range(0, int(ends[-1]) if ends.size else 0, sieve.BLOCK):
+        k1 = min(k0 + sieve.BLOCK, int(ends[-1]))
+        i0, i1 = np.searchsorted(ends, [k0, k1 - 1], side="right")  # the m of the first and last pair
+        lens = np.minimum(ends[i0 : i1 + 1], k1) - np.maximum(starts[i0 : i1 + 1], k0)
+        i = np.repeat(np.arange(i0, i1 + 1), lens)  # the m of each pair
+        m = ms[i]
+        np.add.at(g, m * primes[np.arange(k0, k1) - starts[i]], f[m - 1])
+    del ms, ends, starts
     support = np.flatnonzero(g).astype(window_dtype(N + 1))
     g_vals = g[support]
     del g  # keep only the support of g through the per-q passes

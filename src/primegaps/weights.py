@@ -11,10 +11,13 @@ squarefree d <= R with their values and residue classes (one depth-first
 walk, one CRT step per appended prime) once, then adds each d's value
 to its classes in a buffer starting at any lo.  The moment sums fill one
 sieve.CHUNK of [N, 2N) at a time from that plan, the first half of the
-chunks in a forked child when two cores are free, and pass the chunk sums
-of their summand to math.fsum in chunk order, so they hold no N-sized
-float array and keep their bits.  A window of one chunk longer than half
-a chunk is filled in two halves the same way, in one shared mapping.
+chunks in a forked child when two cores are free, write their summand
+into that chunk's weights in place, with the float operations of the
+plain expression in its order, and pass the chunk sums to math.fsum in
+chunk order, so they hold no N-sized array and keep their bits.  The star
+rows that the widened indicator reads are computed inside each chunk's
+job too.  A window of one chunk longer than half a chunk is filled in two
+halves the same way, in one shared mapping.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -324,7 +327,7 @@ def _report(N: int, cfg: WeightConfig, variant: str, empirical: float, predicted
 def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
     _range_warnings(N, cfg, quarter=False)
-    empirical = _window_fsum(N, cfg, table, lambda w, a, b: w * w)
+    empirical = _window_fsum(N, cfg, table, lambda w, a, b: np.multiply(w, w, out=w))
     s_h = _series_value(cfg.H)
     return _report(
         N, cfg, LEMMA1, empirical, _main_term(N, cfg, s_h, 0),
@@ -337,34 +340,54 @@ def _prime_indicator(N: int, h: int, table: FactorTable, a: int, b: int) -> np.n
     return table.omega[table.span(N + h + a, N + h + b)] == 1
 
 
+def _squared_times(w: np.ndarray, a: int, indicator) -> np.ndarray:
+    """w * w * indicator(c, d), written into w, the weights of offsets [a, a + len(w)).
+
+    Each element is rounded as that expression rounds it; the indicator is
+    taken one BLOCK [c, d) at a time, so its bool array is one BLOCK long.
+    """
+    w *= w
+    for c in range(a, a + len(w), BLOCK):
+        d = min(c + BLOCK, a + len(w))
+        w[c - a : d - a] *= indicator(c, d)
+    return w
+
+
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
     """Squared weights against the prime indicator at shift h."""
     check_moment_args(N, cfg, h)
     _range_warnings(N, cfg, quarter=True)
     empirical = _window_fsum(
-        N, cfg, table, lambda w, a, b: w * w * _prime_indicator(N, h, table, a, b)
+        N, cfg, table, lambda w, a, b: _squared_times(w, a, lambda c, d: _prime_indicator(N, h, table, c, d))
     )
     s_h = _series_value(cfg.H)
     return _report(N, cfg, LEMMA2, empirical, _main_term(N, cfg, s_h, 1), h=h, singular_series=s_h)
 
 
-def _checked_star_mask(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable) -> np.ndarray:
-    """Star mask over [N, 2N), checked free of prime factors <= R when R < N^a1."""
-    smask = balanced.star_mask(spec, table)
-    if cfg.R < spec.N ** spec.a1 and not (table.p_minus[table.span(N, 2 * N)][smask] > cfg.R).all():
+def _checked_star_rows(
+    N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable, a: int, b: int
+) -> np.ndarray:
+    """Star rows of N + [a, min(b + max H, N)), all n + h in [N, 2N) for n in [N + a, N + b).
+
+    Checked free of prime factors <= R when R < N^a1.
+    """
+    end = min(b + max(cfg.H.offsets), N)
+    star = balanced._star_rows(spec, table, a, end)
+    if cfg.R < spec.N ** spec.a1 and not (table.p_minus[table.span(N + a, N + end)][star] > cfg.R).all():
         raise ArithmeticError("star member with a prime factor below R")
-    return smask
+    return star
 
 
-def _wide_indicator(N: int, h: int, smask: np.ndarray, table: FactorTable, a: int, b: int) -> np.ndarray:
+def _wide_indicator(N: int, h: int, star: np.ndarray, table: FactorTable, a: int, b: int) -> np.ndarray:
     """Indicator of n + h prime or a star-set member, for n in [N + a, N + b).
 
     The prime part carries no window restriction so that this dominates
-    the plain prime indicator pointwise; star membership (smask, over
-    [N, 2N)) is inherently confined to [N, 2N), i.e. to n < 2N - h.
+    the plain prime indicator pointwise; star membership (star, the rows
+    of N + [a, ...) from _checked_star_rows) is inherently confined to
+    [N, 2N), i.e. to n < 2N - h.
     """
     hit = _prime_indicator(N, h, table, a, b)
-    star = smask[a + h : b + h]
+    star = star[h : h + b - a]
     hit[: len(star)] |= star
     return hit
 
@@ -374,11 +397,13 @@ def moment_lemma3(
 ) -> MomentReport:
     """Squared weights against the widened prime-or-star indicator."""
     check_moment_args(N, cfg, h, spec)
-    smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
-    empirical = _window_fsum(
-        N, cfg, table, lambda w, a, b: w * w * _wide_indicator(N, h, smask, table, a, b)
-    )
+
+    def term(w, a, b):
+        star = _checked_star_rows(N, spec, cfg, table, a, b)
+        return _squared_times(w, a, lambda c, d: _wide_indicator(N, h, star[c - a :], table, c, d))
+
+    empirical = _window_fsum(N, cfg, table, term)
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
@@ -397,12 +422,19 @@ def s_statistic(
     window.  Also reports the number of n with at least two hits.
     """
     check_moment_args(N, cfg, spec=spec)
-    smask = _checked_star_mask(N, spec, cfg, table)
     _range_warnings(N, cfg, quarter=True)
 
     def term(w, a, b):
-        hits = sum(_wide_indicator(N, h, smask, table, a, b) for h in cfg.H.offsets)
-        return float(((hits - 1.0) * w * w).sum()), int((hits >= 2).sum())
+        star = _checked_star_rows(N, spec, cfg, table, a, b)
+        hits = np.zeros(b - a, dtype=np.min_scalar_type(cfg.k))  # holds k without wrapping
+        for h in cfg.H.offsets:
+            hits += _wide_indicator(N, h, star, table, a, b)
+        # w * ((hits - 1) * w) == ((hits - 1) * w) * w, written into w one BLOCK at a time
+        for s in range(0, b - a, BLOCK):
+            x = np.subtract(hits[s : s + BLOCK], 1.0, dtype=np.float64)
+            x *= w[s : s + BLOCK]
+            w[s : s + BLOCK] *= x
+        return float(w.sum()), int((hits >= 2).sum())
 
     sums = _window_sums(N, cfg, table, term)
     empirical = math.fsum(s for s, _ in sums)

@@ -232,6 +232,9 @@ def test_masks_reject_r_below_one(table_win_1e4):
     for fn in (balanced_mask, count_eps_r):
         with pytest.raises(ValueError, match=r"need r >= 1, got r=0"):
             fn(N, 0, 0.3, table_win_1e4)
+        for eps in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"need eps in \[0, 1\)"):
+                fn(N, 2, eps, table_win_1e4)
         # coverage is checked before the floor, so N = 0 takes no log
         with pytest.raises(ValueError, match="does not cover"):
             fn(0, 2, 0.3, table_win_1e4)

@@ -96,10 +96,10 @@ def test_prime_scale_sanity(table_full_1e4, table_full_1e6):
 
 
 def test_star_counts_check_r_before_the_window_scan(table_win_1e4, monkeypatch):
-    def no_scan(spec, table):
+    def no_scan(spec, table, a, b):
         raise AssertionError("scanned the window")
 
-    monkeypatch.setattr(balanced, "star_mask", no_scan)
+    monkeypatch.setattr(balanced, "_star_rows", no_scan)
     N = 10**4
     spec = StarSetSpec(N=N, r=65, eps=0.3)
     with pytest.raises(ValueError, match="2 <= r <= 64"):
@@ -238,6 +238,32 @@ def test_kernel_rows_match_direct_counts(
         assert (r.q, r.worst_a) == (q, a)
         assert math.isclose(r.max_abs_dev, dev, rel_tol=1e-9)
         assert math.isclose(r.main_term, term, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.05])
+def test_weighted_scatter_equals_the_loop_over_m(table_full_1e5, monkeypatch, alpha):
+    # reference: g(n) built by one fancy-index add per m with f(m) != 0, in
+    # ascending m; at BLOCK = 1000 the pairs of one m straddle the scatter's blocks
+    N = 10**5
+    m_max = int(N ** (1 - alpha))
+    f = np.cos(np.arange(1, m_max + 1))
+    f[::7] = 0.0
+    ps = np.array(primes_up_to(N))
+    g = np.zeros(N + 1)
+    for m, fm in enumerate(f.tolist(), start=1):
+        if fm:
+            g[m * ps[: np.searchsorted(ps, N // m, side="right")]] += fm
+    seen, kernel = [], equidist._discrepancy
+
+    def recorded(values, w, *rest):
+        seen.append((values, w))
+        return kernel(values, w, *rest)
+
+    monkeypatch.setattr(equidist, "_discrepancy", recorded)
+    monkeypatch.setattr(sieve, "BLOCK", 1000)
+    weighted_discrepancy(DiscrepancyConfig(N=N, q_max=10), alpha, f, table_full_1e5)
+    (values, w), = seen
+    assert np.array_equal(values, np.flatnonzero(g)) and w.tobytes() == g[values].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from primegaps import sieve, weights
-from primegaps.balanced import StarSetSpec, in_star_set, star_mask
+from primegaps.balanced import StarSetSpec, balanced_mask, count_eps_r, count_star, in_star_set, star_mask
 from primegaps.sieve import build_factor_table, factorize
 from primegaps.tuples import AdmissibleTuple, generate_tuple, nu_p
 from primegaps.weights import (
@@ -348,18 +348,26 @@ def test_lemma3_limits(moment_setup):
 
 
 def test_wide_indicator_rejects_star_member_below_R(moment_setup, monkeypatch):
+    # the window is one chunk, then at CHUNK = 1000 ten chunks shared with a
+    # forked child when two cores are free; the bad member lies in the first
+    # chunk, which the child takes
     N, cfg, t = moment_setup
     spec = StarSetSpec(N=N, r=2, eps=0.3)
-    star_mask = weights.balanced.star_mask
+    star_rows = weights.balanced._star_rows
 
-    def with_even_member(spec, table):
-        mask = star_mask(spec, table).copy()
-        mask[0] = True  # N = 10**4 has the prime factor 2 < R
-        return mask
+    def with_even_member(spec, table, a, b):
+        rows = star_rows(spec, table, a, b)
+        if a == 0:
+            rows[0] = True  # N = 10**4 has the prime factor 2 < R
+        return rows
 
-    monkeypatch.setattr(weights.balanced, "star_mask", with_even_member)
-    with pytest.raises(ArithmeticError):
-        moment_lemma3(N, cfg, 0, spec, t)
+    monkeypatch.setattr(weights.balanced, "_star_rows", with_even_member)
+    for chunk in (sieve.CHUNK, 1000):
+        monkeypatch.setattr(sieve, "CHUNK", chunk)
+        with pytest.raises(ArithmeticError):
+            moment_lemma3(N, cfg, 0, spec, t)
+        with pytest.raises(ArithmeticError):
+            s_statistic(N, cfg, spec, t)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -373,6 +381,11 @@ def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, r):
         fs = [factorize(t, n + h) for n in range(N, 2 * N)]
         want = np.array([f.omega_big == 1 or in_star_set(f, spec) for f in fs])
         assert np.array_equal(got, want), h
+        # chunk by chunk from each chunk's own star rows, which reach past its end
+        for chunk in (7, 1000):
+            got = [weights._wide_indicator(N, h, weights._checked_star_rows(N, spec, cfg, t, a, b), t, a, b)
+                   for a, b in ((a, min(a + chunk, N)) for a in range(0, N, chunk))]
+            assert np.array_equal(np.concatenate(got), want), (h, chunk)
         hits += want
     rep = s_statistic(N, cfg, spec, t)
     assert rep.extra["multi_hit_count"] == int((hits >= 2).sum())
@@ -402,6 +415,28 @@ def test_s_statistic_single_offset_nonpositive(table_win_1e4):
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     rep = s_statistic(N, cfg, spec, table_win_1e4)
     assert rep.empirical <= 0.0  # indicator never exceeds 1
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("all_prime", [False, True])
+def test_s_statistic_hit_counts_past_int8_equal_int64_reference(monkeypatch, all_prime):
+    # k = 130 shifts (the r = 3 headline has k0 = 3505); with every n + h
+    # counted prime each n has 130 hits, which an int8 count would wrap.
+    # Reference: int64 hit counts of the full-width indicators
+    N = 10**4
+    cfg = WeightConfig(H=generate_tuple(130), l=1, R=10.0)
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    t = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
+    if all_prime:
+        monkeypatch.setattr(weights, "_prime_indicator", lambda N, h, table, a, b: np.ones(b - a, dtype=bool))
+    smask = star_mask(spec, t)
+    hits = sum(weights._wide_indicator(N, h, smask, t, 0, N).astype(np.int64) for h in cfg.H.offsets)
+    w = lambda_r_batch(N, 2 * N, cfg, t)
+    rep = s_statistic(N, cfg, spec, t)
+    assert rep.empirical == math.fsum([float(((hits - 1.0) * w * w).sum())])
+    assert rep.extra["multi_hit_count"] == int((hits >= 2).sum())
+    if all_prime:
+        assert hits.min() == 130 and rep.extra["multi_hit_count"] == N
 
 
 def test_prediction_log_power_scaling(table_win_1e4):
@@ -525,8 +560,10 @@ def _peak_bytes(fn, *args) -> int:
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_window_layers_hold_no_float_array_of_window_size():
-    # doubling N from 2^21 to 2^22 may grow a peak by the bool star mask
-    # (1 byte per integer) but by no N-sized float64 or int16 array
+    # doubling N from 2^21 to 2^22 may grow the peak of a returned mask by
+    # its bool (1 byte per integer) but by no N-sized float64 or int16 array;
+    # the counts and moment sums hold only chunk-sized buffers, so theirs
+    # grow by less than 0.1 B per integer
     peaks = {}
     for N in (2**21, 2**22):
         t = build_factor_table(N, 2 * N + 9)
@@ -534,9 +571,15 @@ def test_window_layers_hold_no_float_array_of_window_size():
         spec = StarSetSpec(N=N, r=2, eps=0.3)
         peaks[N] = {
             "star_mask": _peak_bytes(star_mask, spec, t),
+            "balanced_mask": _peak_bytes(balanced_mask, N, 2, 0.3, t),
+            "count_star": _peak_bytes(count_star, spec, t),
+            "count_eps_r": _peak_bytes(count_eps_r, N, 2, 0.3, t),
             "moment_lemma1": _peak_bytes(moment_lemma1, N, cfg, t),
+            "moment_lemma2": _peak_bytes(moment_lemma2, N, cfg, 2, t),
+            "moment_lemma3": _peak_bytes(moment_lemma3, N, cfg, 2, spec, t),
             "s_statistic": _peak_bytes(s_statistic, N, cfg, spec, t),
         }
         del t
     for name, small in peaks[2**21].items():
-        assert (peaks[2**22][name] - small) / 2**21 < 2.0, (name, peaks)
+        allowance = 2.0 if name.endswith("_mask") else 0.1
+        assert (peaks[2**22][name] - small) / 2**21 < allowance, (name, peaks)
