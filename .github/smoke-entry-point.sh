@@ -18,11 +18,18 @@ primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --format 
 primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.99 --f mobius --format csv | python -c "$rows_ok"
 primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 # a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
+primegaps moments --variant lemma2 --h 2 --n-window 5000000 --k 3 --l 1 --big-r 37 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 10853347.104558202)'
+# a table over one 2^20 chunk and under one segment: two half-size segments, one per process
+primegaps moments --variant lemma2 --h 2 --n-window 2000000 --k 3 --l 1 --big-r 37 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4607824.207508879)'
+# star counts come from the primes of I alone and build no table
 primegaps count-star --n-window 5000000 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 76070)'
-# a table over one 2^20 chunk and under one segment: two half-size segments, one per process
 primegaps count-star --n-window 2000000 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 31594)'
+primegaps count-star --n-window 1000000000 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 12236041)'
 # a moment window of one chunk over half a chunk: its two halves filled by two processes
 primegaps moments --variant lemma1 --n-window 1000000 --k 6 --l 1 --big-r 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4436868106.718203)'
@@ -40,7 +47,9 @@ rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usag
 test "$rc" -eq 2
 grep -q "primegaps s-stat: error:" "$tmp/usage.err"
 # a prime sieve larger than physical memory is refused with an error line, not a traceback
-rc=0; primegaps singular-series --k 3 --p-max 100000000000 2> "$tmp/oversized.err" || rc=$?
-test "$rc" -eq 1
-grep -q "^error:" "$tmp/oversized.err"
-if grep -q "Traceback" "$tmp/oversized.err"; then exit 1; fi
+for cmd in "singular-series --k 3 --p-max 100000000000" "count-star --n-window 1000000000000000 --r 2 --eps 0.99"; do
+  rc=0; primegaps $cmd 2> "$tmp/oversized.err" || rc=$?
+  test "$rc" -eq 1
+  grep -q "^error:" "$tmp/oversized.err"
+  if grep -q "Traceback" "$tmp/oversized.err"; then exit 1; fi
+done

@@ -166,9 +166,7 @@ def cmd_classify(args):
 
 def cmd_count_star(args):
     N = args.n_window
-    spec = _star_spec(args)
-    table = build_factor_table(N, 2 * N)
-    count, predicted = balanced.count_star(spec, table)
+    count, predicted = balanced.count_star(_star_spec(args))
     return {
         "N": N,
         "r": args.r,
@@ -255,6 +253,7 @@ def cmd_moments(args):
     N = args.n_window
     spec = _star_spec(args) if args.variant == "lemma3" else None
     weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
+    weights._weight_plan(cfg)  # refuses an R past the divisor budget before the table is built
     table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
@@ -270,6 +269,7 @@ def cmd_s_stat(args):
     N = args.n_window
     spec = _star_spec(args)
     weights.check_moment_args(N, cfg, spec=spec)
+    weights._weight_plan(cfg)  # refuses an R past the divisor budget before the table is built
     table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     return _moment_summary(weights.s_statistic(N, cfg, spec, table))
 
@@ -294,8 +294,7 @@ def cmd_bv_star(args):
     N = args.n_window
     spec = _star_spec(args)
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max, target=equidist.STAR_SET_WINDOW, spec=spec)
-    table = build_factor_table(N, 2 * N)
-    return _discrepancy(equidist.bv_star_discrepancy(cfg, table))
+    return _discrepancy(equidist.bv_star_discrepancy(cfg))
 
 
 def cmd_bv_weighted(args):

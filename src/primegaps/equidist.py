@@ -18,9 +18,10 @@ numpy divides by a scalar through libdivide, and has no such route for
 the tops are shared between the caller and one forked child when two
 cores are free (sieve._in_two); each process holds the residues of its
 own pass.  The rows come back by q and the total is summed in q order, so
-the report is the same either way.  The weighted variant's main terms
-sum Li(N/m) one sieve.BLOCK of m at a time, and its g is scattered one
-sieve.BLOCK of pairs (m, p) at a time.
+the report is the same either way.  The star members are listed from the
+primes of their interval (balanced), with no factor table.  The weighted
+variant's main terms sum Li(N/m) one sieve.BLOCK of m at a time, and its
+g is scattered one sieve.BLOCK of pairs (m, p) at a time.
 
 The cutoffs that theory phrases through log powers, such as
 q_max = sqrt(N) / ln^C N, are explicit parameters here.
@@ -132,16 +133,21 @@ def _discrepancy(
     return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=main)
 
 
-def _target_values(cfg: DiscrepancyConfig, table: FactorTable) -> np.ndarray:
+def _target_values(cfg: DiscrepancyConfig, table: FactorTable | None) -> np.ndarray:
     """The primes <= N or the star-set members, ascending, in window_dtype.
 
-    The members are collected one sieve.CHUNK of the window at a time.
+    The members are scattered from the primes of I (the table, if given,
+    is only range-checked) one sieve.CHUNK at a time, once a charge of
+    32 B each fits: with their pieces while joined, and a pass's residues
+    and bincount's int64 copy in each of two processes.
     """
     N = cfg.N
     if cfg.target == PRIMES_LE_N:
         return (2 + np.flatnonzero(table.omega[table.span(2, N + 1)] == 1)).astype(window_dtype(N + 1))
-    rows = ((a, balanced._star_rows(cfg.spec, table, a, b)) for a, b in balanced._chunks(N, table))
-    return np.concatenate([(N + a + np.flatnonzero(star)).astype(window_dtype(2 * N)) for a, star in rows])
+    star = balanced._listed(*balanced._star_primes(cfg.spec, table), cfg.spec.r, N)
+    sieve.check_fits(32 * int(balanced._runs(*star, N, 2 * N)[1].sum()))
+    rows = ((a, balanced._rows(*star, N + a, min(N + a + sieve.CHUNK, 2 * N))) for a in range(0, N, sieve.CHUNK))
+    return np.concatenate([(N + a + np.flatnonzero(mask)).astype(window_dtype(2 * N)) for a, mask in rows])
 
 
 def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:
@@ -151,17 +157,19 @@ def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> Discrepa
     return _discrepancy(_target_values(cfg, table), None, cfg.q_max, log_integral(cfg.N))
 
 
-def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:
+def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = None) -> DiscrepancyReport:
     """Star-set analogue with main term C0(r, eps) * Li(N) / phi(q).
 
     The window-matched alternative C0 * (Li(2N) - Li(N)) / phi(q) is
-    reported alongside, since the set is counted over [N, 2N).
+    reported alongside, since the set is counted over [N, 2N).  The
+    optional table is only range-checked.
     """
     if cfg.target != STAR_SET_WINDOW or cfg.spec is None:
         raise ValueError("config target must be star_set_window with a spec")
     spec = cfg.spec
-    c0v = density.c0(spec.r, spec.eps).value  # checks r before the window scan
+    density.check_args(spec.r, spec.eps)  # r before any work
     members = _target_values(cfg, table)
+    c0v = density.c0(spec.r, spec.eps).value
     li_n = log_integral(spec.N)
     li_window = log_integral(2 * spec.N) - li_n
     return _discrepancy(members, None, cfg.q_max, c0v * li_n, c0v * li_window)

@@ -14,11 +14,10 @@ after dividing out the sieving primes are int32, above it int64
 (window_dtype); Omega is int8.  P^- starts at its dtype's maximum and is
 lowered by one in-place minimum per prime.
 
-All downstream window scans (balance classification, star-set counts,
-weight sums, discrepancy sums) read these arrays through FactorTable.span,
-the one coverage check; the masks and moment sums do so one CHUNK of the
-window at a time, so their scratch memory is bounded by the chunk.  Tables
-and prime sieves too large for physical memory are refused before allocating.
+The moment and discrepancy sums read primality through FactorTable.span,
+the one coverage check, one CHUNK of the window at a time; the balanced
+and star sets are listed from primes_up_to alone.  Tables and prime
+sieves too large for physical memory are refused before allocating.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
@@ -191,13 +190,23 @@ class FactorTable:
 
 
 def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
-    """Count, divide out and record each prime's powers on [lo, hi), primes in increasing order."""
+    """Count, divide out and record each prime's powers on [lo, hi), primes in increasing order.
+
+    The entries at stride q = p^e are multiples of p^e with p^(e-1) divided
+    out, so the division by p is exact: a shift for p = 2, else a multiply by
+    p's inverse mod 2^32 or 2^64 (rem's width) that wraps to the quotient,
+    several times cheaper than numpy's strided floor division.
+    """
+    bits = 8 * rem.itemsize
     for p in map(int, primes):
+        inv = pow(p, -1, 1 << bits) if p > 2 else 0  # taken into rem's signed range below
+        div, by = (np.right_shift, 1) if p == 2 else (np.multiply, inv - (inv >> (bits - 1) << bits))
         q = p
         while (start := -(-lo // q) * q) < hi:
             s = start - lo
             omega[s::q] += 1
-            rem[s::q] //= p
+            sub = rem[s::q]
+            div(sub, by, out=sub)
             if q == p:
                 pmax[s::q] = p
                 sub = pmin[s::q]

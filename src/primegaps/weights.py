@@ -15,9 +15,10 @@ chunks in a forked child when two cores are free, write their summand
 into that chunk's weights in place, with the float operations of the
 plain expression in its order, and pass the chunk sums to math.fsum in
 chunk order, so they hold no N-sized array and keep their bits.  The star
-rows that the widened indicator reads are computed inside each chunk's
-job too.  A window of one chunk longer than half a chunk is filled in two
-halves the same way, in one shared mapping.
+set that the widened indicator reads is listed from its primes once per
+sum, before the fork, and each chunk's job scatters its own rows.  A
+window of one chunk longer than half a chunk is filled in two halves the
+same way, in one shared mapping.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -226,7 +227,7 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     return w
 
 
-def _window_sums(N: int, cfg: WeightConfig, table: FactorTable, term) -> list:
+def _window_sums(N: int, plan, term) -> list:
     """term(w, a, b) for each sieve.CHUNK-sized chunk [a, b) of offsets from N, in chunk order.
 
     w holds the weights of that chunk alone, so no N-sized array is built.
@@ -237,8 +238,6 @@ def _window_sums(N: int, cfg: WeightConfig, table: FactorTable, term) -> list:
     whole of it; _fill gives each element the same additions wherever its
     range starts, so the weights and the sum keep their bits.
     """
-    table.span(N, 2 * N + max(cfg.H.offsets))
-    plan = _weight_plan(cfg)
     if sieve.CHUNK // 2 < N <= sieve.CHUNK:
         (w,) = sieve._shared(N, np.float64)
         cuts = (0, N // 2, N)
@@ -258,12 +257,15 @@ def _window_sums(N: int, cfg: WeightConfig, table: FactorTable, term) -> list:
     return sieve._in_two(chunk, range(0, N, sieve.CHUNK))
 
 
-def _window_fsum(N: int, cfg: WeightConfig, table: FactorTable, term) -> float:
+def _window_fsum(N: int, plan, term) -> float:
     """Deterministic compensated sum of the summand arrays term(w, a, b): fsum over the chunk sums."""
-    return math.fsum(_window_sums(N, cfg, table, lambda w, a, b: float(term(w, a, b).sum())))
+    return math.fsum(_window_sums(N, plan, lambda w, a, b: float(term(w, a, b).sum())))
 
 
-def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
+def _planned(N: int, cfg: WeightConfig, table: FactorTable, quarter: bool):
+    """The weight plan, once the table covers [N, 2N + max H) and R is in the budget, then range warnings."""
+    table.span(N, 2 * N + max(cfg.H.offsets))
+    plan = _weight_plan(cfg)
     limit = N**0.25 if quarter else math.sqrt(N)
     if cfg.R > limit:
         warnings.warn(
@@ -277,6 +279,7 @@ def _range_warnings(N: int, cfg: WeightConfig, quarter: bool) -> None:
             "window-edge effects may not be negligible",
             stacklevel=3,
         )
+    return plan
 
 
 @functools.lru_cache(maxsize=64)
@@ -326,8 +329,8 @@ def _report(N: int, cfg: WeightConfig, variant: str, empirical: float, predicted
 
 def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
-    _range_warnings(N, cfg, quarter=False)
-    empirical = _window_fsum(N, cfg, table, lambda w, a, b: np.multiply(w, w, out=w))
+    plan = _planned(N, cfg, table, quarter=False)
+    empirical = _window_fsum(N, plan, lambda w, a, b: np.multiply(w, w, out=w))
     s_h = _series_value(cfg.H)
     return _report(
         N, cfg, LEMMA1, empirical, _main_term(N, cfg, s_h, 0),
@@ -356,26 +359,31 @@ def _squared_times(w: np.ndarray, a: int, indicator) -> np.ndarray:
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
     """Squared weights against the prime indicator at shift h."""
     check_moment_args(N, cfg, h)
-    _range_warnings(N, cfg, quarter=True)
+    plan = _planned(N, cfg, table, quarter=True)
     empirical = _window_fsum(
-        N, cfg, table, lambda w, a, b: _squared_times(w, a, lambda c, d: _prime_indicator(N, h, table, c, d))
+        N, plan, lambda w, a, b: _squared_times(w, a, lambda c, d: _prime_indicator(N, h, table, c, d))
     )
     s_h = _series_value(cfg.H)
     return _report(N, cfg, LEMMA2, empirical, _main_term(N, cfg, s_h, 1), h=h, singular_series=s_h)
 
 
-def _checked_star_rows(
-    N: int, spec: balanced.StarSetSpec, cfg: WeightConfig, table: FactorTable, a: int, b: int
-) -> np.ndarray:
-    """Star rows of N + [a, min(b + max H, N)), all n + h in [N, 2N) for n in [N + a, N + b).
+def _checked_star(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig) -> tuple:
+    """The star set's primes and prefixes over [N, 2N) (balanced._listed), listed once per sum.
 
-    Checked free of prime factors <= R when R < N^a1.
+    When R < N^a1, a member with a prime factor <= R raises ArithmeticError:
+    the members of the primes of I above R alone must be all of them.
     """
-    end = min(b + max(cfg.H.offsets), N)
-    star = balanced._star_rows(spec, table, a, end)
-    if cfg.R < spec.N ** spec.a1 and not (table.p_minus[table.span(N + a, N + end)][star] > cfg.R).all():
+    primes, stop = balanced._star_primes(spec)
+    k = int(np.searchsorted(primes, cfg.R, side="right"))  # the primes of I up to R
+    count = functools.partial(balanced._count, r=spec.r, N=N)
+    if cfg.R < spec.N ** spec.a1 and k and count(primes[k:], stop[k:] - k) < count(primes, stop):
         raise ArithmeticError("star member with a prime factor below R")
-    return star
+    return balanced._listed(primes, stop, spec.r, N)
+
+
+def _star_rows(N: int, star: tuple, cfg: WeightConfig, a: int, b: int) -> np.ndarray:
+    """Star rows of N + [a, min(b + max H, N)), all n + h in [N, 2N) for n in [N + a, N + b)."""
+    return balanced._rows(*star, N + a, N + min(b + max(cfg.H.offsets), N))
 
 
 def _wide_indicator(N: int, h: int, star: np.ndarray, table: FactorTable, a: int, b: int) -> np.ndarray:
@@ -383,7 +391,7 @@ def _wide_indicator(N: int, h: int, star: np.ndarray, table: FactorTable, a: int
 
     The prime part carries no window restriction so that this dominates
     the plain prime indicator pointwise; star membership (star, the rows
-    of N + [a, ...) from _checked_star_rows) is inherently confined to
+    of N + [a, ...) from _star_rows) is inherently confined to
     [N, 2N), i.e. to n < 2N - h.
     """
     hit = _prime_indicator(N, h, table, a, b)
@@ -397,13 +405,14 @@ def moment_lemma3(
 ) -> MomentReport:
     """Squared weights against the widened prime-or-star indicator."""
     check_moment_args(N, cfg, h, spec)
-    _range_warnings(N, cfg, quarter=True)
+    plan = _planned(N, cfg, table, quarter=True)
+    star = _checked_star(N, spec, cfg)
 
     def term(w, a, b):
-        star = _checked_star_rows(N, spec, cfg, table, a, b)
-        return _squared_times(w, a, lambda c, d: _wide_indicator(N, h, star[c - a :], table, c, d))
+        rows = _star_rows(N, star, cfg, a, b)
+        return _squared_times(w, a, lambda c, d: _wide_indicator(N, h, rows[c - a :], table, c, d))
 
-    empirical = _window_fsum(N, cfg, table, term)
+    empirical = _window_fsum(N, plan, term)
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
@@ -422,13 +431,14 @@ def s_statistic(
     window.  Also reports the number of n with at least two hits.
     """
     check_moment_args(N, cfg, spec=spec)
-    _range_warnings(N, cfg, quarter=True)
+    plan = _planned(N, cfg, table, quarter=True)
+    star = _checked_star(N, spec, cfg)
 
     def term(w, a, b):
-        star = _checked_star_rows(N, spec, cfg, table, a, b)
+        rows = _star_rows(N, star, cfg, a, b)
         hits = np.zeros(b - a, dtype=np.min_scalar_type(cfg.k))  # holds k without wrapping
         for h in cfg.H.offsets:
-            hits += _wide_indicator(N, h, star, table, a, b)
+            hits += _wide_indicator(N, h, rows, table, a, b)
         # w * ((hits - 1) * w) == ((hits - 1) * w) * w, written into w one BLOCK at a time
         for s in range(0, b - a, BLOCK):
             x = np.subtract(hits[s : s + BLOCK], 1.0, dtype=np.float64)
@@ -436,7 +446,7 @@ def s_statistic(
             w[s : s + BLOCK] *= x
         return float(w.sum()), int((hits >= 2).sum())
 
-    sums = _window_sums(N, cfg, table, term)
+    sums = _window_sums(N, plan, term)
     empirical = math.fsum(s for s, _ in sums)
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value

@@ -238,6 +238,8 @@ def test_masks_reject_r_below_one(table_win_1e4):
         # coverage is checked before the floor, so N = 0 takes no log
         with pytest.raises(ValueError, match="does not cover"):
             fn(0, 2, 0.3, table_win_1e4)
+        with pytest.raises(ValueError, match="window base must be >= 2, got N=1"):
+            fn(1, 2, 0.3)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 40])
@@ -270,3 +272,33 @@ def test_window_masks_do_not_depend_on_the_chunk(table_win_1e4, monkeypatch, chu
     for (spec, r, eps), (sm, bm) in zip(cases, whole):
         assert np.array_equal(star_mask(spec, t), sm)
         assert np.array_equal(balanced_mask(N, r, eps, t), bm)
+
+
+STAR_GRID = [(1, 0.3), (2, 0.3), (2, 0.9), (2, 0.99), (2, 0.25), (2, 0.35), (3, 0.3), (3, 0.6), (4, 0.5)]
+
+
+@pytest.mark.parametrize("N", [10**4, 67 * 149, 10**5, 10**6 + 12345])
+def test_prime_tuple_sets_equal_the_table_scan(N):
+    # reference: Omega, P^- and P^+ of a window table, logs over the whole
+    # window; the sets, their counts and count_eps_r come from primes alone.
+    # The last star eps puts N^a1 on the prime 67 (a tie at N = 67 * 149)
+    t = build_factor_table(N, 2 * N)
+    lpmin = np.log(t.p_minus.astype(np.float64))
+    lpmax = np.log(t.p_plus.astype(np.float64))
+    for r, eps in STAR_GRID + [(2, 2 * (1 - 2 * math.log(67) / math.log(N)))]:
+        spec = StarSetSpec(N=N, r=r, eps=eps)
+        ref = (t.omega == r) & balanced._in_interval(lpmin, lpmax, spec)
+        assert np.array_equal(star_mask(spec), ref), (r, eps)
+        if r >= 2:
+            assert count_star(spec)[0] == count_star(spec, t)[0] == int(ref.sum()), (r, eps)
+    for r in (1, 2, 3, 4):
+        for eps in (0.0, 0.05, 0.25, 0.3, 0.35, 0.9):
+            ref = (t.omega == r) & balanced._balanced(lpmin, lpmax, eps)
+            assert np.array_equal(balanced_mask(N, r, eps), ref), (r, eps)
+            assert count_eps_r(N, r, eps) == count_eps_r(N, r, eps, t) == int(ref.sum()), (r, eps)
+
+
+def test_star_counts_at_1e9_from_the_primes_of_I():
+    # a window table at N = 1e9 would take 8.4 GiB; the primes of I take under 1 MiB
+    assert count_star(StarSetSpec(N=10**9, r=2, eps=0.3))[0] == 12_236_041
+    assert count_star(StarSetSpec(N=10**9, r=3, eps=0.3))[0] == 1_404_782

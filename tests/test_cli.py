@@ -131,6 +131,16 @@ def test_count_star(capsys):
     doc = run_json(capsys, "count-star", "--n-window", "1000", "--r", "2",
                    "--eps", "0.3")
     assert doc["results"]["count"] == 22
+    # from the primes of I alone: no 8.4 GiB window table at N = 1e9
+    doc = run_json(capsys, "count-star", "--n-window", "1000000000", "--r", "2", "--eps", "0.3")
+    assert doc["results"]["count"] == 12236041
+
+
+def test_budget_refusal_comes_before_the_range_warning(capsys):
+    # R = 2e8 is past both the divisor budget and N^(1/2); the refusal is all that is printed
+    for argv in (["moments", "--variant", "lemma1"], ["s-stat"]):
+        assert main([*argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "2e8"]) == 1
+        assert capsys.readouterr().err == "error: R=200000000.0 exceeds the divisor enumeration budget\n"
 
 
 def test_weights_rows_csv(capsys):
@@ -336,13 +346,14 @@ def test_bv_weighted_peak_stays_within_its_memory_charge(N, alpha, monkeypatch):
 
 def test_oversized_window_fails_before_allocating(capsys):
     # 17 bytes per table integer at N = 1e12 exceeds any physical memory, and
-    # so do the prime sieves to 1e12 or more; the estimate is refused before
-    # the table, the sieve or a float vector exists
+    # so do the prime sieves to 1e12 or more, such as the primes of I to
+    # N^0.7475 at N = 1e15, eps = 0.99; the estimate is refused before the
+    # table, the sieve or a float vector exists
     tup = ["--k", "3", "--l", "1", "--big-r", "10"]
     huge = ["--n-window", str(10**12)]
+    wide_star = ["--n-window", str(10**15), "--r", "2", "--eps", "0.99"]
     for argv in (["bv", *huge, "--q-max", "10"], ["bv-weighted", *huge, "--q-max", "10", "--alpha", "0.5"],
-                 ["bv-star", *huge, "--q-max", "10", "--r", "2", "--eps", "0.3"],
-                 ["count-star", *huge, "--r", "2", "--eps", "0.3"], ["weights", *huge, *tup],
+                 ["bv-star", *wide_star, "--q-max", "10"], ["count-star", *wide_star], ["weights", *huge, *tup],
                  ["moments", "--variant", "lemma1", *huge, *tup], ["s-stat", *huge, *tup],
                  ["classify", "--n", str(10**30)],
                  ["singular-series", "--k", "3", "--p-max", str(10**12)], ["tuple", "--k", str(10**12)],
@@ -358,6 +369,10 @@ def test_oversized_window_fails_before_allocating(capsys):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16, argv
+    # at N = 1e12 the primes of I fit, and bv-star's 1e10 members are refused before they are scattered
+    argv = ["bv-star", *huge, "--q-max", "10", "--r", "2", "--eps", "0.3"]
+    assert main(argv) == 1
+    assert "physical memory" in capsys.readouterr().err
     # library callers get the same refusal
     for fn, fn_args in ((build_factor_table, (10**12, 2 * 10**12)), (primes_up_to, (10**13,))):
         tracemalloc.start()

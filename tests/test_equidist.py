@@ -96,10 +96,10 @@ def test_prime_scale_sanity(table_full_1e4, table_full_1e6):
 
 
 def test_star_counts_check_r_before_the_window_scan(table_win_1e4, monkeypatch):
-    def no_scan(spec, table, a, b):
-        raise AssertionError("scanned the window")
+    def no_scan(spec, table=None):
+        raise AssertionError("sieved the primes of the star set")
 
-    monkeypatch.setattr(balanced, "_star_rows", no_scan)
+    monkeypatch.setattr(balanced, "_star_primes", no_scan)
     N = 10**4
     spec = StarSetSpec(N=N, r=65, eps=0.3)
     with pytest.raises(ValueError, match="2 <= r <= 64"):

@@ -247,6 +247,36 @@ def test_split_build_equals_one_process_reference(monkeypatch, segment, lo, leng
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _floor_division_walk(lo, hi, primes, rem, pmin, pmax, omega):
+    """Reference walk: the same passes, dividing out each prime power by numpy's //."""
+    for p in map(int, primes):
+        q = p
+        while (start := -(-lo // q) * q) < hi:
+            s = start - lo
+            omega[s::q] += 1
+            rem[s::q] //= p
+            if q == p:
+                pmax[s::q] = p
+                sub = pmin[s::q]
+                np.minimum(sub, p, out=sub)
+            q *= p
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 10**5),  # int32, every small prime and its powers
+    (10**7, 10**7 + 300_009),  # int32
+    (2**31 - 200_000, 2**31 + 100_000),  # straddles 2^31: int64 residues
+    (10**12, 10**12 + 100_000),  # int64
+])
+def test_exact_division_walk_equals_floor_division(monkeypatch, lo, hi):
+    # the walk divides by p through p's inverse mod 2^32 or 2^64, or a shift for p = 2
+    t = build_factor_table(lo, hi)
+    monkeypatch.setattr(sieve, "_walk", _floor_division_walk)
+    ref = build_factor_table(lo, hi)
+    for got, want in ((t.p_minus, ref.p_minus), (t.p_plus, ref.p_plus), (t.omega, ref.omega)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _square_or_raise_at(bad):
     def job(x):
         if x == bad:

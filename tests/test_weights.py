@@ -353,15 +353,16 @@ def test_wide_indicator_rejects_star_member_below_R(moment_setup, monkeypatch):
     # chunk, which the child takes
     N, cfg, t = moment_setup
     spec = StarSetSpec(N=N, r=2, eps=0.3)
-    star_rows = weights.balanced._star_rows
+    star_primes, clean = weights.balanced._star_primes, star_mask(spec, t)
 
-    def with_even_member(spec, table, a, b):
-        rows = star_rows(spec, table, a, b)
-        if a == 0:
-            rows[0] = True  # N = 10**4 has the prime factor 2 < R
-        return rows
+    def with_even_member(spec, table=None):
+        # the primes 53 .. 199 of I gain 2 and 5003: of the new products only
+        # 2 * 5003 = N + 6 lies in [N, 2N), and it has the prime factor 2 < R
+        primes = np.concatenate(([2], star_primes(spec, table)[0], [5003]))
+        return primes, np.full(primes.size, primes.size)
 
-    monkeypatch.setattr(weights.balanced, "_star_rows", with_even_member)
+    monkeypatch.setattr(weights.balanced, "_star_primes", with_even_member)
+    assert np.flatnonzero(star_mask(spec, t) ^ clean).tolist() == [6]
     for chunk in (sieve.CHUNK, 1000):
         monkeypatch.setattr(sieve, "CHUNK", chunk)
         with pytest.raises(ArithmeticError):
@@ -374,7 +375,7 @@ def test_wide_indicator_rejects_star_member_below_R(moment_setup, monkeypatch):
 def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, r):
     N, cfg, t = moment_setup
     spec = StarSetSpec(N=N, r=r, eps=0.3)
-    smask = star_mask(spec, t)
+    smask, star = star_mask(spec, t), weights._checked_star(N, spec, cfg)
     hits = np.zeros(N, dtype=int)
     for h in cfg.H.offsets:
         got = weights._wide_indicator(N, h, smask, t, 0, N)
@@ -383,7 +384,7 @@ def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, r):
         assert np.array_equal(got, want), h
         # chunk by chunk from each chunk's own star rows, which reach past its end
         for chunk in (7, 1000):
-            got = [weights._wide_indicator(N, h, weights._checked_star_rows(N, spec, cfg, t, a, b), t, a, b)
+            got = [weights._wide_indicator(N, h, weights._star_rows(N, star, cfg, a, b), t, a, b)
                    for a, b in ((a, min(a + chunk, N)) for a in range(0, N, chunk))]
             assert np.array_equal(np.concatenate(got), want), (h, chunk)
         hits += want
