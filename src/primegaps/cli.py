@@ -253,7 +253,7 @@ def cmd_moments(args):
     N = args.n_window
     spec = _star_spec(args) if args.variant == "lemma3" else None
     weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
-    weights._weight_plan(cfg)  # refuses an R past the divisor budget before the table is built
+    cfg.plan  # made before the table, so an R past the divisor budget is refused first
     table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     if args.variant == "lemma1":
         rep = weights.moment_lemma1(N, cfg, table)
@@ -269,7 +269,7 @@ def cmd_s_stat(args):
     N = args.n_window
     spec = _star_spec(args)
     weights.check_moment_args(N, cfg, spec=spec)
-    weights._weight_plan(cfg)  # refuses an R past the divisor budget before the table is built
+    cfg.plan  # made before the table, so an R past the divisor budget is refused first
     table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     return _moment_summary(weights.s_statistic(N, cfg, spec, table))
 

@@ -62,7 +62,8 @@ S_STATISTIC = "s_statistic"
 class WeightConfig:
     """(H, l, R) parameterization; k is the tuple size.
 
-    Both the normalization factorial and the log exponent use k + l.
+    Both the normalization factorial and the log exponent use k + l.  The
+    weight plan is made once per configuration, at the first use of plan.
     """
 
     H: AdmissibleTuple
@@ -78,6 +79,10 @@ class WeightConfig:
     @property
     def k(self) -> int:
         return self.H.k
+
+    @functools.cached_property
+    def plan(self) -> tuple[np.ndarray, list[tuple[int, float, list[int]]]]:
+        return _weight_plan(self)
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,7 @@ def _weight_plan(cfg: WeightConfig) -> tuple[np.ndarray, list[tuple[int, float, 
     for d, val, classes in terms[:n_base]:
         for a in classes:
             base[a::d] += val
+    base.flags.writeable = False  # shared by every fill of the configuration
     return base, terms[n_base:]
 
 
@@ -215,7 +221,7 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     The weight depends on n only through its residues mod the squarefree
     d <= R, so no factorizations are needed; the optional table is only
     range-checked for interface parity with the oracle.  It plans the
-    moduli once (_weight_plan) and writes them into a new vector (_fill).
+    moduli once (cfg.plan) and writes them into a new vector (_fill).
     An empty or reversed range is refused, as build_factor_table refuses it.
     """
     if hi <= lo:
@@ -223,7 +229,7 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     if table is not None:
         table.span(lo, hi)
     w = np.empty(hi - lo, dtype=np.float64)
-    _fill(_weight_plan(cfg), w, lo)
+    _fill(cfg.plan, w, lo)
     return w
 
 
@@ -265,7 +271,7 @@ def _window_fsum(N: int, plan, term) -> float:
 def _planned(N: int, cfg: WeightConfig, table: FactorTable, quarter: bool):
     """The weight plan, once the table covers [N, 2N + max H) and R is in the budget, then range warnings."""
     table.span(N, 2 * N + max(cfg.H.offsets))
-    plan = _weight_plan(cfg)
+    plan = cfg.plan
     limit = N**0.25 if quarter else math.sqrt(N)
     if cfg.R > limit:
         warnings.warn(

@@ -14,7 +14,7 @@ import pytest
 import primegaps
 import numpy as np
 
-from primegaps import cli
+from primegaps import cli, weights
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
 from primegaps.sieve import build_factor_table, primes_up_to
@@ -141,6 +141,15 @@ def test_budget_refusal_comes_before_the_range_warning(capsys):
     for argv in (["moments", "--variant", "lemma1"], ["s-stat"]):
         assert main([*argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "2e8"]) == 1
         assert capsys.readouterr().err == "error: R=200000000.0 exceeds the divisor enumeration budget\n"
+
+
+def test_moment_commands_plan_the_weights_once(capsys, monkeypatch):
+    # the plan made before the table build is the one the sums use
+    calls, moduli = [], weights._squarefree_moduli
+    monkeypatch.setattr(weights, "_squarefree_moduli", lambda R, H: calls.append(R) or moduli(R, H))
+    for argv in (["moments", "--variant", "lemma3"], ["s-stat"]):
+        assert main([*argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5"]) == 0
+    assert calls == [5.0, 5.0]
 
 
 def test_weights_rows_csv(capsys):
