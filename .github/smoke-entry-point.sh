@@ -16,6 +16,19 @@ primegaps weights --n-window 10000 --k 3 --l 1 --big-r 10 \
 primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --format csv | python -c "$rows_ok"
 # N^(1 - alpha) < 2: the Mobius coefficients are mu(1) alone
 primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.99 --f mobius --format csv | python -c "$rows_ok"
+# a coefficient file listing mu(m) for m <= N^(1 - alpha) = 31 gives the rows of --f mobius
+python -c 'mu = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, -1]
+print("\n".join(f"{m} {v}" for m, v in enumerate(mu, 1)))' > "$tmp/mu.txt"
+primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f mobius --out "$tmp/mobius.json"
+primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f "$tmp/mu.txt" --out "$tmp/mu.json"
+python -c 'import json, sys; a, b = (json.load(open(p))["rows"] for p in sys.argv[1:]); sys.exit(a != b)' \
+  "$tmp/mobius.json" "$tmp/mu.json"
+# a non-integer m in a coefficient file is an error line, not a traceback
+printf '2.5 0.3\n' > "$tmp/f-bad.txt"
+rc=0; primegaps bv-weighted --n-window 1000 --q-max 5 --alpha 0.5 --f "$tmp/f-bad.txt" 2> "$tmp/f-bad.err" || rc=$?
+test "$rc" -eq 1
+grep -q "^error:" "$tmp/f-bad.err"
+if grep -q "Traceback" "$tmp/f-bad.err"; then exit 1; fi
 primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 # a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
 primegaps moments --variant lemma2 --h 2 --n-window 5000000 --k 3 --l 1 --big-r 37 \

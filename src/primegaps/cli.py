@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import BLOCK, build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes, table_nbytes
+from .sieve import BLOCK, build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes
 
 ARTIFACT_VERSION = __version__
 
@@ -286,8 +286,7 @@ def _discrepancy(rep: equidist.DiscrepancyReport):
 def cmd_bv(args):
     N = args.n_window
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
-    table = build_factor_table(2, N + 1)
-    return _discrepancy(equidist.bv_prime_discrepancy(cfg, table))
+    return _discrepancy(equidist.bv_prime_discrepancy(cfg))
 
 
 def cmd_bv_star(args):
@@ -300,28 +299,33 @@ def cmd_bv_star(args):
 def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
-    # the [2, N] table; g's N + 1 floats, then its support's int32 indices and
-    # float values, and in each of the two processes a pass's int32 residues
-    # and bincount's int64 copy of them: at most 36 B per integer; f with,
+    # the primes <= N, a bool sieve kept as int64 primes (primes_nbytes); g's
+    # N + 1 floats, then its support's int32 indices and float values, and in
+    # each of the two processes a pass's int32 residues and bincount's int64
+    # copy of them: at most 36 B per integer; f with,
     # while g is scattered, the m with f(m) != 0 and where their pairs start
     # and end, and later the main terms: at most 32 B per m; the temporaries
     # of one sieve.BLOCK of (m, p) pairs, or of Li over one BLOCK of m: at
     # most 80 B per element; and mu's prime sieve
     mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
-    check_fits(table_nbytes(2, N + 1) + mobius_sieve + 36 * (N + 1) + 32 * m_max + 80 * BLOCK)
+    check_fits(primes_nbytes(N) + mobius_sieve + 36 * (N + 1) + 32 * m_max + 80 * BLOCK)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":
         f = mobius_up_to(m_max)
     else:
-        data = np.loadtxt(args.f, ndmin=2)
         f = np.zeros(m_max)
-        for m, val in data:
-            if 1 <= int(m) <= m_max:
+        listed = set()
+        for m, val in np.loadtxt(args.f, ndmin=2):
+            if not (m >= 1 and m == np.floor(m)):  # NaN fails both
+                raise ValueError(f"{args.f}: m = {m:g} is not an integer >= 1")
+            if m in listed:
+                raise ValueError(f"{args.f}: m = {m:g} is listed twice")
+            listed.add(m)
+            if m <= m_max:
                 f[int(m) - 1] = val
     cfg = equidist.DiscrepancyConfig(N=N, q_max=args.q_max)
-    table = build_factor_table(2, N + 1)
-    return _discrepancy(equidist.weighted_discrepancy(cfg, args.alpha, f, table))
+    return _discrepancy(equidist.weighted_discrepancy(cfg, args.alpha, f))
 
 
 # -------------------------------------------------------------------- parser
@@ -417,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--f", default="const1",
-                   help="built-in name (const1, mobius) or a two-column file")
+                   help="built-in name (const1, mobius) or a file of lines 'm f(m)', each m an "
+                        "integer >= 1 listed once; an m above N^(1-alpha) is ignored")
     _add_common(p, cmd_bv_weighted)
 
     return ap

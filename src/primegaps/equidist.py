@@ -18,8 +18,9 @@ numpy divides by a scalar through libdivide, and has no such route for
 the tops are shared between the caller and one forked child when two
 cores are free (sieve._in_two); each process holds the residues of its
 own pass.  The rows come back by q and the total is summed in q order, so
-the report is the same either way.  The star members are listed from the
-primes of their interval (balanced), with no factor table.  The weighted
+the report is the same either way.  No variant reads a factor table: the
+primes <= N come from sieve.primes_up_to, and the star members are listed
+from the primes of their interval (balanced).  The weighted
 variant's main terms sum Li(N/m) one sieve.BLOCK of m at a time, and its
 g is scattered one sieve.BLOCK of pairs (m, p) at a time.
 
@@ -133,6 +134,13 @@ def _discrepancy(
     return DiscrepancyReport(per_q=tuple(rows), total=total, main_term_used=main)
 
 
+def _primes(N: int, table: FactorTable | None) -> np.ndarray:
+    """The int64 primes <= N from sieve.primes_up_to; the table, if given, is only range-checked."""
+    if table is not None:
+        table.span(2, N + 1)
+    return sieve.primes_up_to(N)
+
+
 def _target_values(cfg: DiscrepancyConfig, table: FactorTable | None) -> np.ndarray:
     """The primes <= N or the star-set members, ascending, in window_dtype.
 
@@ -143,15 +151,18 @@ def _target_values(cfg: DiscrepancyConfig, table: FactorTable | None) -> np.ndar
     """
     N = cfg.N
     if cfg.target == PRIMES_LE_N:
-        return (2 + np.flatnonzero(table.omega[table.span(2, N + 1)] == 1)).astype(window_dtype(N + 1))
+        return _primes(N, table).astype(window_dtype(N + 1))
     star = balanced._listed(*balanced._star_primes(cfg.spec, table), cfg.spec.r, N)
     sieve.check_fits(32 * int(balanced._runs(*star, N, 2 * N)[1].sum()))
     rows = ((a, balanced._rows(*star, N + a, min(N + a + sieve.CHUNK, 2 * N))) for a in range(0, N, sieve.CHUNK))
     return np.concatenate([(N + a + np.flatnonzero(mask)).astype(window_dtype(2 * N)) for a, mask in rows])
 
 
-def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable) -> DiscrepancyReport:
-    """Worst-class prime-count deviation from Li(N)/phi(q), summed over q."""
+def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = None) -> DiscrepancyReport:
+    """Worst-class prime-count deviation from Li(N)/phi(q), summed over q.
+
+    The optional table is only range-checked.
+    """
     if cfg.target != PRIMES_LE_N:
         raise ValueError("config target must be primes_le_N")
     return _discrepancy(_target_values(cfg, table), None, cfg.q_max, log_integral(cfg.N))
@@ -176,7 +187,7 @@ def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = None
 
 
 def weighted_discrepancy(
-    cfg: DiscrepancyConfig, alpha: float, f: np.ndarray, table: FactorTable
+    cfg: DiscrepancyConfig, alpha: float, f: np.ndarray, table: FactorTable | None = None
 ) -> DiscrepancyReport:
     """Bounded-coefficient discrepancy over products m * p <= N.
 
@@ -187,6 +198,7 @@ def weighted_discrepancy(
 
     maximized over a coprime to q; classes with gcd(m, q) > 1 contribute
     no primes but keep their main term, exactly as the sum is written.
+    The optional table is only range-checked.
     """
     if cfg.target != PRIMES_LE_N:
         raise ValueError("config target must be primes_le_N")
@@ -199,7 +211,7 @@ def weighted_discrepancy(
         raise ValueError(f"need f values for m = 1..{m_max}, got {f.size}")
     if not np.all(np.isfinite(f[:m_max])) or np.abs(f[:m_max]).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("f must be finite with |f(m)| <= 1")
-    primes = _target_values(cfg, table).astype(np.int64)  # int64 indices scatter faster
+    primes = _primes(N, table)  # int64 indices scatter faster than int32 ones
     # g(n) = sum_{n = m p} f(m); a product m p with gcd(m, q) > 1 falls in a
     # class that is not coprime to q, so it drops out of every row maximum;
     # the pairs (m, p <= N/m) with f(m) != 0, listed by ascending m, are

@@ -14,10 +14,11 @@ after dividing out the sieving primes are int32, above it int64
 (window_dtype); Omega is int8.  P^- starts at its dtype's maximum and is
 lowered by one in-place minimum per prime.
 
-The moment and discrepancy sums read primality through FactorTable.span,
-the one coverage check, one CHUNK of the window at a time; the balanced
-and star sets are listed from primes_up_to alone.  Tables and prime
-sieves too large for physical memory are refused before allocating.
+The moment sums read primality through FactorTable.span, the one
+coverage check, one BLOCK of the window at a time; the discrepancy sums
+and the balanced and star sets are listed from primes_up_to alone.
+Tables and prime sieves too large for physical memory are refused before
+allocating.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;

@@ -14,11 +14,14 @@ sieve.CHUNK of [N, 2N) at a time from that plan, the first half of the
 chunks in a forked child when two cores are free, write their summand
 into that chunk's weights in place, with the float operations of the
 plain expression in its order, and pass the chunk sums to math.fsum in
-chunk order, so they hold no N-sized array and keep their bits.  The star
-set that the widened indicator reads is listed from its primes once per
-sum, before the fork, and each chunk's job scatters its own rows.  A
-window of one chunk longer than half a chunk is filled in two halves the
-same way, in one shared mapping.
+chunk order, so they hold no N-sized array and keep their bits.  Lemmas 2
+and 3 and S share one chunk kernel (_hit_sums): one BLOCK at a time, it
+counts the shifts h with n + h prime (read from the factor table, which
+equidist does not read) or a star member, and writes w^2 times that
+count, or for S times the count minus one.  The star set is listed from
+its primes once per sum, before the fork, and each chunk's job scatters
+its own rows.  A window of one chunk longer than half a chunk is filled
+in two halves the same way, in one shared mapping.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -263,11 +266,6 @@ def _window_sums(N: int, plan, term) -> list:
     return sieve._in_two(chunk, range(0, N, sieve.CHUNK))
 
 
-def _window_fsum(N: int, plan, term) -> float:
-    """Deterministic compensated sum of the summand arrays term(w, a, b): fsum over the chunk sums."""
-    return math.fsum(_window_sums(N, plan, lambda w, a, b: float(term(w, a, b).sum())))
-
-
 def _planned(N: int, cfg: WeightConfig, table: FactorTable, quarter: bool):
     """The weight plan, once the table covers [N, 2N + max H) and R is in the budget, then range warnings."""
     table.span(N, 2 * N + max(cfg.H.offsets))
@@ -336,41 +334,12 @@ def _report(N: int, cfg: WeightConfig, variant: str, empirical: float, predicted
 def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
     """Sum of squared weights over [N, 2N) vs its predicted main term."""
     plan = _planned(N, cfg, table, quarter=False)
-    empirical = _window_fsum(N, plan, lambda w, a, b: np.multiply(w, w, out=w))
+    empirical = math.fsum(_window_sums(N, plan, lambda w, a, b: float(np.multiply(w, w, out=w).sum())))
     s_h = _series_value(cfg.H)
     return _report(
         N, cfg, LEMMA1, empirical, _main_term(N, cfg, s_h, 0),
         singular_series=s_h, degenerate=s_h == 0.0,
     )
-
-
-def _prime_indicator(N: int, h: int, table: FactorTable, a: int, b: int) -> np.ndarray:
-    """Primality of n + h for n in [N + a, N + b), no window restriction."""
-    return table.omega[table.span(N + h + a, N + h + b)] == 1
-
-
-def _squared_times(w: np.ndarray, a: int, indicator) -> np.ndarray:
-    """w * w * indicator(c, d), written into w, the weights of offsets [a, a + len(w)).
-
-    Each element is rounded as that expression rounds it; the indicator is
-    taken one BLOCK [c, d) at a time, so its bool array is one BLOCK long.
-    """
-    w *= w
-    for c in range(a, a + len(w), BLOCK):
-        d = min(c + BLOCK, a + len(w))
-        w[c - a : d - a] *= indicator(c, d)
-    return w
-
-
-def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
-    """Squared weights against the prime indicator at shift h."""
-    check_moment_args(N, cfg, h)
-    plan = _planned(N, cfg, table, quarter=True)
-    empirical = _window_fsum(
-        N, plan, lambda w, a, b: _squared_times(w, a, lambda c, d: _prime_indicator(N, h, table, c, d))
-    )
-    s_h = _series_value(cfg.H)
-    return _report(N, cfg, LEMMA2, empirical, _main_term(N, cfg, s_h, 1), h=h, singular_series=s_h)
 
 
 def _checked_star(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig) -> tuple:
@@ -387,23 +356,54 @@ def _checked_star(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig) -> tupl
     return balanced._listed(primes, stop, spec.r, N)
 
 
-def _star_rows(N: int, star: tuple, cfg: WeightConfig, a: int, b: int) -> np.ndarray:
-    """Star rows of N + [a, min(b + max H, N)), all n + h in [N, 2N) for n in [N + a, N + b)."""
-    return balanced._rows(*star, N + a, N + min(b + max(cfg.H.offsets), N))
+def _hit_sums(
+    N: int, plan, table: FactorTable, shifts: tuple[int, ...], star: tuple | None, minus_one: bool
+) -> tuple[float, int]:
+    """fsum over [N, 2N) of w^2 hits (with minus_one, of w^2 (hits - 1)), and #{n : hits(n) >= 2}.
 
-
-def _wide_indicator(N: int, h: int, star: np.ndarray, table: FactorTable, a: int, b: int) -> np.ndarray:
-    """Indicator of n + h prime or a star-set member, for n in [N + a, N + b).
-
-    The prime part carries no window restriction so that this dominates
-    the plain prime indicator pointwise; star membership (star, the rows
-    of N + [a, ...) from _star_rows) is inherently confined to
-    [N, 2N), i.e. to n < 2N - h.
+    hits(n) counts the h in shifts with n + h prime (Omega 1 in the table,
+    with no window restriction, so the widened count dominates the plain
+    one pointwise) or a member of star (from _checked_star; in [N, 2N)),
+    in the smallest type that holds len(shifts).  Each chunk's summand is
+    written into its weights one BLOCK at a time, as w * w * hits or
+    w * ((hits - 1) * w) round it.
     """
-    hit = _prime_indicator(N, h, table, a, b)
-    star = star[h : h + b - a]
-    hit[: len(star)] |= star
-    return hit
+    dtype = np.min_scalar_type(len(shifts))
+
+    def term(w, a, b):
+        rows = None if star is None else balanced._rows(*star, N + a, N + min(b + max(shifts), N))
+        multi = 0
+        for c in range(0, b - a, BLOCK):
+            x = w[c : c + BLOCK]
+            hits = np.zeros(len(x), dtype=dtype)
+            for h in shifts:
+                lo = N + h + a + c
+                hit = table.omega[table.span(lo, lo + len(x))] == 1
+                if rows is not None:
+                    member = rows[c + h : c + h + len(x)]
+                    hit[: len(member)] |= member
+                hits += hit
+            if minus_one:
+                y = np.subtract(hits, 1.0, dtype=np.float64)
+                y *= x
+                x *= y
+                multi += int((hits >= 2).sum())
+            else:
+                x *= x
+                x *= hits
+        return float(w.sum()), multi
+
+    sums = _window_sums(N, plan, term)
+    return math.fsum(s for s, _ in sums), sum(m for _, m in sums)
+
+
+def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
+    """Squared weights against the prime indicator at shift h."""
+    check_moment_args(N, cfg, h)
+    plan = _planned(N, cfg, table, quarter=True)
+    empirical, _ = _hit_sums(N, plan, table, (h,), None, minus_one=False)
+    s_h = _series_value(cfg.H)
+    return _report(N, cfg, LEMMA2, empirical, _main_term(N, cfg, s_h, 1), h=h, singular_series=s_h)
 
 
 def moment_lemma3(
@@ -412,13 +412,7 @@ def moment_lemma3(
     """Squared weights against the widened prime-or-star indicator."""
     check_moment_args(N, cfg, h, spec)
     plan = _planned(N, cfg, table, quarter=True)
-    star = _checked_star(N, spec, cfg)
-
-    def term(w, a, b):
-        rows = _star_rows(N, star, cfg, a, b)
-        return _squared_times(w, a, lambda c, d: _wide_indicator(N, h, rows[c - a :], table, c, d))
-
-    empirical = _window_fsum(N, plan, term)
+    empirical, _ = _hit_sums(N, plan, table, (h,), _checked_star(N, spec, cfg), minus_one=False)
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
@@ -438,27 +432,12 @@ def s_statistic(
     """
     check_moment_args(N, cfg, spec=spec)
     plan = _planned(N, cfg, table, quarter=True)
-    star = _checked_star(N, spec, cfg)
-
-    def term(w, a, b):
-        rows = _star_rows(N, star, cfg, a, b)
-        hits = np.zeros(b - a, dtype=np.min_scalar_type(cfg.k))  # holds k without wrapping
-        for h in cfg.H.offsets:
-            hits += _wide_indicator(N, h, rows, table, a, b)
-        # w * ((hits - 1) * w) == ((hits - 1) * w) * w, written into w one BLOCK at a time
-        for s in range(0, b - a, BLOCK):
-            x = np.subtract(hits[s : s + BLOCK], 1.0, dtype=np.float64)
-            x *= w[s : s + BLOCK]
-            w[s : s + BLOCK] *= x
-        return float(w.sum()), int((hits >= 2).sum())
-
-    sums = _window_sums(N, plan, term)
-    empirical = math.fsum(s for s, _ in sums)
+    empirical, multi = _hit_sums(N, plan, table, cfg.H.offsets, _checked_star(N, spec, cfg), minus_one=True)
     s_h = _series_value(cfg.H)
     c0v = density.c0(spec.r, spec.eps).value
     return _report(
         N, cfg, S_STATISTIC, empirical,
         _main_term(N, cfg, s_h, 0) * positivity_factor(cfg.k, cfg.l, c0v),
         r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
-        multi_hit_count=sum(c for _, c in sums),
+        multi_hit_count=multi,
     )

@@ -17,6 +17,7 @@ from primegaps.balanced import (
     star_mask,
 )
 from primegaps.sieve import build_factor_table, factorize, primes_up_to
+from primegaps.tuples import AdmissibleTuple
 
 
 def test_balance_examples(table_full_1e6):
@@ -174,14 +175,16 @@ def test_inclusion_in_widened_star_set(table_win_1e5):
 
 def test_ptilde_mask_partition(table_win_1e4):
     # the window primes together with the star set: the widened moment
-    # indicator at shift 0
+    # indicator at shift 0, which Lemma 3 sums against w^2
     N = 10**4
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     t = table_win_1e4
     sm = star_mask(spec, t)
-    pm = weights._wide_indicator(N, 0, sm, t, 0, N)
     primes = t.omega[0:N] == 1
-    assert np.array_equal(pm, primes | sm)
+    cfg = weights.WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=10.0)
+    w = weights.lambda_r_batch(N, 2 * N, cfg)
+    want = math.fsum([float((w * w * (primes | sm)).sum())])
+    assert weights.moment_lemma3(N, cfg, 0, spec, t).empirical == want
     assert not (primes & sm).any()  # primes have omega 1, star members omega r
 
 

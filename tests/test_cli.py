@@ -14,7 +14,7 @@ import pytest
 import primegaps
 import numpy as np
 
-from primegaps import cli, weights
+from primegaps import cli, equidist, weights
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
 from primegaps.sieve import build_factor_table, primes_up_to
@@ -253,6 +253,41 @@ def test_bv_weighted_mobius_with_one_coefficient(capsys):
     args = ["bv-weighted", "--n-window", "1000", "--q-max", "5", "--alpha", "0.99"]
     rows = {f: run_json(capsys, *args, "--f", f)["rows"] for f in ("mobius", "const1")}
     assert len(rows["mobius"]) == 5 and rows["mobius"] == rows["const1"]
+
+
+def test_bv_weighted_file_rows_equal_a_direct_call(capsys, tmp_path):
+    # N = 1e4, alpha = 0.5: m <= 100.  The file lists the m in descending
+    # order, leaves out those with f(m) = 0, and adds m = 500 above
+    # N^(1 - alpha), which is ignored
+    N, m_max = 10**4, 100
+    f = np.cos(np.arange(1, m_max + 1))
+    f[::7] = 0.0
+    path = tmp_path / "f.txt"
+    lines = [f"{m} {float(f[m - 1])!r}\n" for m in range(m_max, 0, -1) if f[m - 1] != 0.0]
+    path.write_text("".join(lines) + "500 0.5\n")
+    doc = run_json(capsys, "bv-weighted", "--n-window", str(N), "--q-max", "7", "--alpha", "0.5",
+                   "--f", str(path))
+    rep = equidist.weighted_discrepancy(equidist.DiscrepancyConfig(N=N, q_max=7), 0.5, f)
+    assert (doc["results"]["total"], doc["results"]["main_term_used"]) == (rep.total, rep.main_term_used)
+    assert [(r["q"], r["worst_a"], r["max_abs_dev"], r["main_term"]) for r in doc["rows"]] == [
+        (r.q, r.worst_a, r.max_abs_dev, r.main_term) for r in rep.per_q
+    ]
+
+
+@pytest.mark.parametrize("text, why", [
+    ("2.5 0.3\n", "m = 2.5 is not an integer >= 1"),
+    ("0 0.3\n", "m = 0 is not an integer >= 1"),
+    ("-3 0.3\n", "m = -3 is not an integer >= 1"),
+    ("nan 0.3\n", "m = nan is not an integer >= 1"),
+    ("2 0.3\n3 0.1\n2 -0.2\n", "m = 2 is listed twice"),
+    ("500 0.3\n500 0.1\n", "m = 500 is listed twice"),  # above N^(1 - alpha), still one line each
+])
+def test_bv_weighted_file_rejects_malformed_rows(capsys, tmp_path, text, why):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    rc = main(["bv-weighted", "--n-window", "1000", "--q-max", "5", "--alpha", "0.5", "--f", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {path}: {why}\n")
 
 
 def test_byte_identical_reproduction(capsys, tmp_path):

@@ -126,6 +126,18 @@ def test_star_discrepancy_counts_match_count_star(table_win_1e5):
         bv_prime_discrepancy(cfg, table_win_1e5)
 
 
+def test_prime_discrepancies_read_no_table(table_full_1e4, table_win_1e4):
+    # the primes <= N come from a prime sieve; a table, when given, is only range-checked
+    cfg = DiscrepancyConfig(N=10**4, q_max=30)
+    f = np.cos(np.arange(1, 101))
+    assert bv_prime_discrepancy(cfg) == bv_prime_discrepancy(cfg, table_full_1e4)
+    assert weighted_discrepancy(cfg, 0.5, f) == weighted_discrepancy(cfg, 0.5, f, table_full_1e4)
+    with pytest.raises(ValueError, match="does not cover"):
+        bv_prime_discrepancy(cfg, table_win_1e4)
+    with pytest.raises(ValueError, match="does not cover"):
+        weighted_discrepancy(cfg, 0.5, f, table_win_1e4)
+
+
 def test_weighted_zero_coefficients(table_full_1e4):
     N = 10**4
     cfg = DiscrepancyConfig(N=N, q_max=10)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -252,6 +253,16 @@ def _squarefree_divisors(n, offsets, R, t):
 # ------------------------------------------------------------------ moments
 
 
+def wide_reference(N, h, t, smask):
+    """n + h prime or a star member, for n in [N, 2N), read from t (which starts at N) and star_mask.
+
+    Primality carries no window restriction; the star mask covers [N, 2N) alone.
+    """
+    chi = t.omega[h : h + N] == 1
+    chi[: N - h] |= smask[h:]
+    return chi
+
+
 @pytest.fixture(scope="module")
 def moment_setup(table_win_1e4):
     N = 10**4
@@ -372,24 +383,30 @@ def test_wide_indicator_rejects_star_member_below_R(moment_setup, monkeypatch):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, r):
+def test_wide_indicator_and_multi_hits_match_scalar_oracle(moment_setup, monkeypatch, r):
     N, cfg, t = moment_setup
     spec = StarSetSpec(N=N, r=r, eps=0.3)
-    smask, star = star_mask(spec, t), weights._checked_star(N, spec, cfg)
-    hits = np.zeros(N, dtype=int)
+    smask = star_mask(spec, t)
+    wants = []
     for h in cfg.H.offsets:
-        got = weights._wide_indicator(N, h, smask, t, 0, N)
         fs = [factorize(t, n + h) for n in range(N, 2 * N)]
         want = np.array([f.omega_big == 1 or in_star_set(f, spec) for f in fs])
-        assert np.array_equal(got, want), h
-        # chunk by chunk from each chunk's own star rows, which reach past its end
-        for chunk in (7, 1000):
-            got = [weights._wide_indicator(N, h, weights._star_rows(N, star, cfg, a, b), t, a, b)
-                   for a, b in ((a, min(a + chunk, N)) for a in range(0, N, chunk))]
-            assert np.array_equal(np.concatenate(got), want), (h, chunk)
-        hits += want
-    rep = s_statistic(N, cfg, spec, t)
-    assert rep.extra["multi_hit_count"] == int((hits >= 2).sum())
+        assert np.array_equal(wide_reference(N, h, t, smask), want), h
+        wants.append(want)
+    hits = sum(want.astype(np.int64) for want in wants)
+    w = lambda_r_batch(N, 2 * N, cfg, t)
+    # one chunk, then chunk by chunk from each chunk's own star rows, which reach past its end
+    for chunk in (sieve.CHUNK, 7, 1000):
+        monkeypatch.setattr(sieve, "CHUNK", chunk)
+
+        def ref(full):
+            return math.fsum(float(full[a : a + chunk].sum()) for a in range(0, N, chunk))
+
+        for h, want in zip(cfg.H.offsets, wants):
+            assert moment_lemma3(N, cfg, h, spec, t).empirical == ref(w * w * want), (h, chunk)
+        rep = s_statistic(N, cfg, spec, t)
+        assert rep.empirical == ref((hits - 1.0) * w * w), chunk
+        assert rep.extra["multi_hit_count"] == int((hits >= 2).sum()), chunk
 
 
 def test_s_statistic_structure(moment_setup):
@@ -420,18 +437,18 @@ def test_s_statistic_single_offset_nonpositive(table_win_1e4):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("all_prime", [False, True])
-def test_s_statistic_hit_counts_past_int8_equal_int64_reference(monkeypatch, all_prime):
-    # k = 130 shifts (the r = 3 headline has k0 = 3505); with every n + h
-    # counted prime each n has 130 hits, which an int8 count would wrap.
-    # Reference: int64 hit counts of the full-width indicators
+def test_s_statistic_hit_counts_past_int8_equal_int64_reference(all_prime):
+    # k = 130 shifts (the r = 3 headline has k0 = 3505); with a table whose
+    # Omega is 1 everywhere each n has 130 hits, which an int8 count would
+    # wrap.  Reference: int64 hit counts of the full-width indicators
     N = 10**4
     cfg = WeightConfig(H=generate_tuple(130), l=1, R=10.0)
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     t = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     if all_prime:
-        monkeypatch.setattr(weights, "_prime_indicator", lambda N, h, table, a, b: np.ones(b - a, dtype=bool))
+        t = dataclasses.replace(t, omega=np.ones_like(t.omega))
     smask = star_mask(spec, t)
-    hits = sum(weights._wide_indicator(N, h, smask, t, 0, N).astype(np.int64) for h in cfg.H.offsets)
+    hits = sum(wide_reference(N, h, t, smask).astype(np.int64) for h in cfg.H.offsets)
     w = lambda_r_batch(N, 2 * N, cfg, t)
     rep = s_statistic(N, cfg, spec, t)
     assert rep.empirical == math.fsum([float(((hits - 1.0) * w * w).sum())])
@@ -483,14 +500,14 @@ def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypat
     monkeypatch.setattr(sieve, "CHUNK", chunk)
     assert moment_lemma1(N, cfg, t).empirical == ref(w * w)
     for h in cfg.H.offsets:
-        chi = weights._prime_indicator(N, h, t, 0, N)
+        chi = t.omega[h : h + N] == 1
         assert moment_lemma2(N, cfg, h, t).empirical == ref(w * w * chi)
     for r in (2, 3):
         spec = StarSetSpec(N=N, r=r, eps=0.3)
         smask = star_mask(spec, t)
         hits = np.zeros(N, dtype=np.int16)
         for h in cfg.H.offsets:
-            chi = weights._wide_indicator(N, h, smask, t, 0, N)
+            chi = wide_reference(N, h, t, smask)
             hits += chi
             if r == 2:
                 assert moment_lemma3(N, cfg, h, spec, t).empirical == ref(w * w * chi)
@@ -513,10 +530,10 @@ def test_moments_of_several_chunks_equal_a_serial_sum_of_chunk_sums():
         return math.fsum(float(full[a : a + chunk].sum()) for a in range(0, N, chunk))
 
     smask = star_mask(spec, t)
-    wide = {h: weights._wide_indicator(N, h, smask, t, 0, N) for h in cfg.H.offsets}
+    wide = {h: wide_reference(N, h, t, smask) for h in cfg.H.offsets}
     hits = sum(wide.values())
     assert moment_lemma1(N, cfg, t).empirical == serial(w * w)
-    assert moment_lemma2(N, cfg, 2, t).empirical == serial(w * w * weights._prime_indicator(N, 2, t, 0, N))
+    assert moment_lemma2(N, cfg, 2, t).empirical == serial(w * w * (t.omega[2 : 2 + N] == 1))
     assert moment_lemma3(N, cfg, 2, spec, t).empirical == serial(w * w * wide[2])
     rep = s_statistic(N, cfg, spec, t)
     assert rep.empirical == serial((hits - 1.0) * w * w)
