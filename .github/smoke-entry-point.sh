@@ -46,6 +46,12 @@ primegaps count-star --n-window 1000000000 --r 2 --eps 0.3 \
 # a moment window of one chunk over half a chunk: its two halves filled by two processes
 primegaps moments --variant lemma1 --n-window 1000000 --k 6 --l 1 --big-r 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4436868106.718203)'
+# Lemma 1 over three chunks, the first in a forked child when two cores are free
+primegaps moments --variant lemma1 --n-window 3000000 --k 3 --l 1 --big-r 41 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 68050122.97953999)'
+# Lemma 2 over one chunk filled in two halves
+primegaps moments --variant lemma2 --h 2 --n-window 1000000 --k 3 --l 1 --big-r 31.6 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 1765303.8328963881)'
 # three chunks with their star rows, the first in a forked child when two cores are free
 primegaps s-stat --n-window 3000000 --k 3 --l 1 --big-r 41 --r 2 --eps 0.3 \
   | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["empirical"], r["multi_hit_count"]) != (-37671227.59612439, 94686))'

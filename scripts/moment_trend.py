@@ -29,7 +29,7 @@ def main() -> None:
     for e in range(args.exp_min, args.exp_max + 1):
         N = 10**e
         cfg = WeightConfig(H=H, l=args.l, R=N**0.25)
-        table = build_factor_table(N, 2 * N + H.diameter + 1)
+        table = build_factor_table(N, 2 * N + max(H.offsets))
         rep = moment_lemma1(N, cfg, table)
         print(f"{N},{rep.variant},{rep.empirical:.8g},{rep.predicted_main_term:.8g},{rep.ratio:.6f}")
         if args.with_prime_indicator:

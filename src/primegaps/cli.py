@@ -152,8 +152,9 @@ def _star_spec(args) -> balanced.StarSetSpec:
 
 def cmd_classify(args):
     n = args.n
-    lo = max(2, n)  # n = 1 is refused by factorize, with the table's coverage error
-    table = build_factor_table(lo, lo + 1)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    table = build_factor_table(n, n + 1)
     cls = balanced.classify(factorize(table, n))
     row = {
         "n": cls.n,
@@ -237,7 +238,23 @@ def cmd_weights(args):
     return summary, {"n": range(N, 2 * N), "weight": w}
 
 
-def _moment_summary(rep: weights.MomentReport):
+def cmd_moments(args):
+    cfg = _weight_config(args)
+    N = args.n_window
+    variant = weights.S_STATISTIC if args.subcommand == "s-stat" else args.variant
+    h = args.h if variant in (weights.LEMMA2, weights.LEMMA3) else None
+    spec = None if variant in (weights.LEMMA1, weights.LEMMA2) else _star_spec(args)
+    weights.check_moment_args(N, cfg, h, spec)
+    cfg.plan  # made before the table, so an R past the divisor budget is refused first
+    table = build_factor_table(N, 2 * N + max(cfg.H.offsets))
+    if variant == weights.LEMMA1:
+        rep = weights.moment_lemma1(N, cfg, table)
+    elif variant == weights.LEMMA2:
+        rep = weights.moment_lemma2(N, cfg, h, table)
+    elif variant == weights.LEMMA3:
+        rep = weights.moment_lemma3(N, cfg, h, spec, table)
+    else:
+        rep = weights.s_statistic(N, cfg, spec, table)
     return {
         "N": rep.N,
         "variant": rep.variant,
@@ -246,32 +263,6 @@ def _moment_summary(rep: weights.MomentReport):
         "ratio": rep.ratio,
         **rep.extra,
     }, {}
-
-
-def cmd_moments(args):
-    cfg = _weight_config(args)
-    N = args.n_window
-    spec = _star_spec(args) if args.variant == "lemma3" else None
-    weights.check_moment_args(N, cfg, None if args.variant == "lemma1" else args.h, spec)
-    cfg.plan  # made before the table, so an R past the divisor budget is refused first
-    table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
-    if args.variant == "lemma1":
-        rep = weights.moment_lemma1(N, cfg, table)
-    elif args.variant == "lemma2":
-        rep = weights.moment_lemma2(N, cfg, args.h, table)
-    else:
-        rep = weights.moment_lemma3(N, cfg, args.h, spec, table)
-    return _moment_summary(rep)
-
-
-def cmd_s_stat(args):
-    cfg = _weight_config(args)
-    N = args.n_window
-    spec = _star_spec(args)
-    weights.check_moment_args(N, cfg, spec=spec)
-    cfg.plan  # made before the table, so an R past the divisor budget is refused first
-    table = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
-    return _moment_summary(weights.s_statistic(N, cfg, spec, table))
 
 
 def _discrepancy(rep: equidist.DiscrepancyReport):
@@ -402,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(p)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--eps", type=float, default=0.3)
-    _add_common(p, cmd_s_stat)
+    _add_common(p, cmd_moments)
 
     p = sub.add_parser("bv", help="prime discrepancy over progressions")
     p.add_argument("--n-window", type=int, required=True, metavar="N")

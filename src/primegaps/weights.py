@@ -9,16 +9,18 @@ provided: a per-n oracle that factors each n + h_i and enumerates the
 squarefree divisors depth-first, and a batch route that plans the
 squarefree d <= R with their values and residue classes (one depth-first
 walk, one CRT step per appended prime) once, then adds each d's value
-to its classes in a buffer starting at any lo.  The moment sums fill one
-sieve.CHUNK of [N, 2N) at a time from that plan, the first half of the
-chunks in a forked child when two cores are free, write their summand
-into that chunk's weights in place, with the float operations of the
-plain expression in its order, and pass the chunk sums to math.fsum in
-chunk order, so they hold no N-sized array and keep their bits.  Lemmas 2
-and 3 and S share one chunk kernel (_hit_sums): one BLOCK at a time, it
-counts the shifts h with n + h prime (read from the factor table, which
-equidist does not read) or a star member, and writes w^2 times that
-count, or for S times the count minus one.  The star set is listed from
+to its classes in a buffer starting at any lo.  The four moment sums run
+through one function (_moment) and one chunk kernel (_moment_sums); they
+differ only in the factor that multiplies w^2.  The kernel fills one
+sieve.CHUNK of [N, 2N) at a time from the plan, the first half of the
+chunks in a forked child when two cores are free, writes the summand into
+that chunk's weights in place, one sieve.BLOCK at a time with the float
+operations of the plain expression in its order, and passes the chunk sums
+to math.fsum in chunk order, so the sums hold no N-sized array and keep
+their bits.  Lemma 1 is its case with no indicator, w^2 alone.  Lemmas 2
+and 3 and S count the shifts h with n + h prime (read from the factor
+table, which equidist does not read) or a star member, and weigh w^2 by
+that count, or for S by the count minus one.  The star set is listed from
 its primes once per sum, before the fork, and each chunk's job scatters
 its own rows.  A window of one chunk longer than half a chunk is filled
 in two halves the same way, in one shared mapping.
@@ -45,12 +47,6 @@ from .tuples import AdmissibleTuple, positivity_factor, singular_series
 
 #: Cap on the (d, CRT class) pairs of the weight plan, over all squarefree d <= R.
 MAX_DIVISORS = 5_000_000
-
-#: Float64 elements per cache block of the batch weight accumulation (1 MiB).
-BLOCK = 1 << 17
-
-#: Largest modulus the batch accumulation applies block by block.
-BLOCK_MAX_D = 256
 
 #: Singular-series truncation used for predicted main terms.
 SERIES_P_MAX = 1_000_000
@@ -164,7 +160,7 @@ def _weight_plan(cfg: WeightConfig) -> tuple[np.ndarray, list[tuple[int, float, 
     """The weight fill's plan: a periodic base and (d, value, CRT classes mod d) for the other d.
 
     Every squarefree d <= R adds mu(d) ln^(k+l)(R/d) / (k+l)! to its classes.
-    The longest prefix of the ascending d whose lcm stays within BLOCK
+    The longest prefix of the ascending d whose lcm stays within sieve.BLOCK
     (d <= 16 once R >= 16, period 30030 = 2*3*5*7*11*13) is summed once,
     from 0.0 and in increasing d, into a base vector of one period; the
     rest follow ascending in d.
@@ -174,7 +170,7 @@ def _weight_plan(cfg: WeightConfig) -> tuple[np.ndarray, list[tuple[int, float, 
     terms = [(d, mu * math.log(cfg.R / d) ** power * norm, classes)
              for d, mu, classes in _squarefree_moduli(cfg.R, cfg.H)]
     period, n_base = 1, 0
-    while n_base < len(terms) and math.lcm(period, terms[n_base][0]) <= BLOCK:
+    while n_base < len(terms) and math.lcm(period, terms[n_base][0]) <= sieve.BLOCK:
         period = math.lcm(period, terms[n_base][0])
         n_base += 1
     base = np.zeros(period, dtype=np.float64)
@@ -192,15 +188,15 @@ def _fill(plan: tuple[np.ndarray, list[tuple[int, float, list[int]]]], buf: np.n
     fixes the rounding.  The base holds, for each residue mod its period,
     the sum over the prefix of that order, so copying it from phase lo mod
     period gives every element the partial sum those additions would have.
-    The copy and the remaining small moduli d <= BLOCK_MAX_D (a prefix of
-    what is left) are applied one BLOCK-sized stretch of buf at a time so
-    that it stays in cache, and the larger d then add over all of buf.
+    The copy and the remaining small moduli d <= sieve.SMALL_P (a prefix of
+    what is left) are applied one sieve.BLOCK of buf at a time so that it
+    stays in cache, and the larger d then add over all of buf.
     """
     base, rest = plan
     period = len(base)
-    n_small = sum(d <= BLOCK_MAX_D for d, _, _ in rest)
-    for b0 in range(0, len(buf), BLOCK):
-        block = buf[b0 : b0 + BLOCK]
+    n_small = sum(d <= sieve.SMALL_P for d, _, _ in rest)
+    for b0 in range(0, len(buf), sieve.BLOCK):
+        block = buf[b0 : b0 + sieve.BLOCK]
         # one period from phase (lo + b0) mod period, then doubled in place
         j, m = (lo + b0) % period, min(len(block), period)
         head = min(period - j, m)
@@ -234,56 +230,6 @@ def lambda_r_batch(lo: int, hi: int, cfg: WeightConfig, table: FactorTable | Non
     w = np.empty(hi - lo, dtype=np.float64)
     _fill(cfg.plan, w, lo)
     return w
-
-
-def _window_sums(N: int, plan, term) -> list:
-    """term(w, a, b) for each sieve.CHUNK-sized chunk [a, b) of offsets from N, in chunk order.
-
-    w holds the weights of that chunk alone, so no N-sized array is built.
-    The chunks are shared between two processes (sieve._in_two); each fills
-    its own chunk buffer, allocated at its first chunk, after the fork.  A
-    window of one chunk longer than CHUNK // 2 has its two halves filled by
-    two processes in one shared mapping, and the caller takes term over the
-    whole of it; _fill gives each element the same additions wherever its
-    range starts, so the weights and the sum keep their bits.
-    """
-    if sieve.CHUNK // 2 < N <= sieve.CHUNK:
-        (w,) = sieve._shared(N, np.float64)
-        cuts = (0, N // 2, N)
-        sieve._in_two(lambda i: _fill(plan, w[cuts[i] : cuts[i + 1]], N + cuts[i]), (0, 1))
-        return [term(w, 0, N)]
-    buf = None
-
-    def chunk(a: int):
-        nonlocal buf
-        if buf is None:
-            buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
-        b = min(a + sieve.CHUNK, N)
-        w = buf[: b - a]
-        _fill(plan, w, N + a)
-        return term(w, a, b)
-
-    return sieve._in_two(chunk, range(0, N, sieve.CHUNK))
-
-
-def _planned(N: int, cfg: WeightConfig, table: FactorTable, quarter: bool):
-    """The weight plan, once the table covers [N, 2N + max H) and R is in the budget, then range warnings."""
-    table.span(N, 2 * N + max(cfg.H.offsets))
-    plan = cfg.plan
-    limit = N**0.25 if quarter else math.sqrt(N)
-    if cfg.R > limit:
-        warnings.warn(
-            f"R={cfg.R} exceeds the stated range (~N^{'1/4' if quarter else '1/2'}); "
-            "the asymptotic main term may not apply",
-            stacklevel=3,
-        )
-    if max(cfg.H.offsets) > 50 * math.log(N):
-        warnings.warn(
-            f"max offset {max(cfg.H.offsets)} is large next to ln N; "
-            "window-edge effects may not be negligible",
-            stacklevel=3,
-        )
-    return plan
 
 
 @functools.lru_cache(maxsize=64)
@@ -325,23 +271,6 @@ def _main_term(N: int, cfg: WeightConfig, s_h: float, j: int, uplift: float = 1.
     )
 
 
-def _report(N: int, cfg: WeightConfig, variant: str, empirical: float, predicted: float, **extra) -> MomentReport:
-    """The report of one moment sum; the ratio is inf when the prediction is 0."""
-    ratio = empirical / predicted if predicted != 0 else math.inf
-    return MomentReport(N, cfg, variant, empirical, predicted, ratio, extra)
-
-
-def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
-    """Sum of squared weights over [N, 2N) vs its predicted main term."""
-    plan = _planned(N, cfg, table, quarter=False)
-    empirical = math.fsum(_window_sums(N, plan, lambda w, a, b: float(np.multiply(w, w, out=w).sum())))
-    s_h = _series_value(cfg.H)
-    return _report(
-        N, cfg, LEMMA1, empirical, _main_term(N, cfg, s_h, 0),
-        singular_series=s_h, degenerate=s_h == 0.0,
-    )
-
-
 def _checked_star(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig) -> tuple:
     """The star set's primes and prefixes over [N, 2N) (balanced._listed), listed once per sum.
 
@@ -356,25 +285,36 @@ def _checked_star(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig) -> tupl
     return balanced._listed(primes, stop, spec.r, N)
 
 
-def _hit_sums(
+def _moment_sums(
     N: int, plan, table: FactorTable, shifts: tuple[int, ...], star: tuple | None, minus_one: bool
 ) -> tuple[float, int]:
-    """fsum over [N, 2N) of w^2 hits (with minus_one, of w^2 (hits - 1)), and #{n : hits(n) >= 2}.
+    """fsum over [N, 2N) of w^2 (with shifts, w^2 hits; with minus_one, w^2 (hits - 1)), and #{n : hits(n) >= 2}.
 
     hits(n) counts the h in shifts with n + h prime (Omega 1 in the table,
     with no window restriction, so the widened count dominates the plain
     one pointwise) or a member of star (from _checked_star; in [N, 2N)),
-    in the smallest type that holds len(shifts).  Each chunk's summand is
-    written into its weights one BLOCK at a time, as w * w * hits or
-    w * ((hits - 1) * w) round it.
+    in the smallest type that holds len(shifts).  Each sieve.CHUNK of
+    weights is filled in one buffer, and its summand is written into it one
+    sieve.BLOCK at a time, as w * w, w * w * hits or w * ((hits - 1) * w)
+    round it; the chunk sums go to math.fsum in chunk order.
+
+    The chunks are shared between two processes (sieve._in_two); each fills
+    its own chunk buffer, allocated at its first chunk, after the fork.  A
+    window of one chunk longer than CHUNK // 2 has its two halves filled by
+    two processes in one shared mapping, and the caller sums the whole of
+    it; _fill gives each element the same additions wherever its range
+    starts, so the weights and the sum keep their bits.
     """
     dtype = np.min_scalar_type(len(shifts))
 
     def term(w, a, b):
         rows = None if star is None else balanced._rows(*star, N + a, N + min(b + max(shifts), N))
         multi = 0
-        for c in range(0, b - a, BLOCK):
-            x = w[c : c + BLOCK]
+        for c in range(0, b - a, sieve.BLOCK):
+            x = w[c : c + sieve.BLOCK]
+            if not shifts:
+                x *= x
+                continue
             hits = np.zeros(len(x), dtype=dtype)
             for h in shifts:
                 lo = N + h + a + c
@@ -393,32 +333,93 @@ def _hit_sums(
                 x *= hits
         return float(w.sum()), multi
 
-    sums = _window_sums(N, plan, term)
+    if sieve.CHUNK // 2 < N <= sieve.CHUNK:
+        (w,) = sieve._shared(N, np.float64)
+        cuts = (0, N // 2, N)
+        sieve._in_two(lambda i: _fill(plan, w[cuts[i] : cuts[i + 1]], N + cuts[i]), (0, 1))
+        sums = [term(w, 0, N)]
+    else:
+        buf = None
+
+        def chunk(a: int):
+            nonlocal buf
+            if buf is None:
+                buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
+            b = min(a + sieve.CHUNK, N)
+            w = buf[: b - a]
+            _fill(plan, w, N + a)
+            return term(w, a, b)
+
+        sums = sieve._in_two(chunk, range(0, N, sieve.CHUNK))
     return math.fsum(s for s, _ in sums), sum(m for _, m in sums)
+
+
+def _moment(
+    variant: str, N: int, cfg: WeightConfig, table: FactorTable,
+    h: int | None = None, spec: balanced.StarSetSpec | None = None,
+) -> MomentReport:
+    """One moment sum over [N, 2N) against its predicted main term; the ratio is inf when that is 0.
+
+    The sums differ only in the factor that multiplies w^2: none for Lemma
+    1, the indicator at shift h for Lemma 2 (the primes) and Lemma 3 (the
+    primes or, from spec, the star set), and the hits minus one over every
+    shift of H for S.  The arguments and the table's coverage of
+    [N, 2N + max H) are checked and the weights planned, so an R past the
+    divisor budget is refused, before the range warnings are given.
+    """
+    check_moment_args(N, cfg, h, spec)
+    table.span(N, 2 * N + max(cfg.H.offsets))
+    plan = cfg.plan
+    quarter = variant != LEMMA1
+    if cfg.R > (N**0.25 if quarter else math.sqrt(N)):
+        warnings.warn(
+            f"R={cfg.R} exceeds the stated range (~N^{'1/4' if quarter else '1/2'}); "
+            "the asymptotic main term may not apply",
+            stacklevel=3,
+        )
+    if max(cfg.H.offsets) > 50 * math.log(N):
+        warnings.warn(
+            f"max offset {max(cfg.H.offsets)} is large next to ln N; "
+            "window-edge effects may not be negligible",
+            stacklevel=3,
+        )
+    minus_one = variant == S_STATISTIC
+    shifts = cfg.H.offsets if minus_one else () if h is None else (h,)
+    star = None if spec is None else _checked_star(N, spec, cfg)
+    empirical, multi = _moment_sums(N, plan, table, shifts, star, minus_one)
+    s_h = _series_value(cfg.H)
+    extra = {} if h is None else {"h": h}
+    if spec is not None:
+        c0v = density.c0(spec.r, spec.eps).value
+        extra.update(r=spec.r, eps=spec.eps, c0=c0v)
+    extra["singular_series"] = s_h
+    if variant == LEMMA1:
+        predicted = _main_term(N, cfg, s_h, 0)
+        extra["degenerate"] = s_h == 0.0
+    elif minus_one:
+        predicted = _main_term(N, cfg, s_h, 0) * positivity_factor(cfg.k, cfg.l, c0v)
+        extra["multi_hit_count"] = multi
+    else:
+        predicted = _main_term(N, cfg, s_h, 1, 1.0 if spec is None else 1.0 + c0v)
+    ratio = empirical / predicted if predicted != 0 else math.inf
+    return MomentReport(N, cfg, variant, empirical, predicted, ratio, extra)
+
+
+def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
+    """Sum of squared weights over [N, 2N) vs its predicted main term."""
+    return _moment(LEMMA1, N, cfg, table)
 
 
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
     """Squared weights against the prime indicator at shift h."""
-    check_moment_args(N, cfg, h)
-    plan = _planned(N, cfg, table, quarter=True)
-    empirical, _ = _hit_sums(N, plan, table, (h,), None, minus_one=False)
-    s_h = _series_value(cfg.H)
-    return _report(N, cfg, LEMMA2, empirical, _main_term(N, cfg, s_h, 1), h=h, singular_series=s_h)
+    return _moment(LEMMA2, N, cfg, table, h=h)
 
 
 def moment_lemma3(
     N: int, cfg: WeightConfig, h: int, spec: balanced.StarSetSpec, table: FactorTable
 ) -> MomentReport:
     """Squared weights against the widened prime-or-star indicator."""
-    check_moment_args(N, cfg, h, spec)
-    plan = _planned(N, cfg, table, quarter=True)
-    empirical, _ = _hit_sums(N, plan, table, (h,), _checked_star(N, spec, cfg), minus_one=False)
-    s_h = _series_value(cfg.H)
-    c0v = density.c0(spec.r, spec.eps).value
-    return _report(
-        N, cfg, LEMMA3, empirical, _main_term(N, cfg, s_h, 1, 1.0 + c0v),
-        h=h, r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
-    )
+    return _moment(LEMMA3, N, cfg, table, h=h, spec=spec)
 
 
 def s_statistic(
@@ -430,14 +431,4 @@ def s_statistic(
     a positive value certifies two hits among {n + h_i} for some n in the
     window.  Also reports the number of n with at least two hits.
     """
-    check_moment_args(N, cfg, spec=spec)
-    plan = _planned(N, cfg, table, quarter=True)
-    empirical, multi = _hit_sums(N, plan, table, cfg.H.offsets, _checked_star(N, spec, cfg), minus_one=True)
-    s_h = _series_value(cfg.H)
-    c0v = density.c0(spec.r, spec.eps).value
-    return _report(
-        N, cfg, S_STATISTIC, empirical,
-        _main_term(N, cfg, s_h, 0) * positivity_factor(cfg.k, cfg.l, c0v),
-        r=spec.r, eps=spec.eps, c0=c0v, singular_series=s_h,
-        multi_hit_count=multi,
-    )
+    return _moment(S_STATISTIC, N, cfg, table, spec=spec)

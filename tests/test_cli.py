@@ -182,6 +182,20 @@ def test_moments_lemma3_and_s_stat(capsys):
     assert "multi_hit_count" in doc["results"]
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["moments", "--variant", "lemma1"], "N,variant,empirical,predicted,ratio,singular_series,degenerate"),
+    (["moments", "--variant", "lemma2"], "N,variant,empirical,predicted,ratio,h,singular_series"),
+    (["moments", "--variant", "lemma3"], "N,variant,empirical,predicted,ratio,h,r,eps,c0,singular_series"),
+    (["s-stat"], "N,variant,empirical,predicted,ratio,r,eps,c0,singular_series,multi_hit_count"),
+])
+def test_moment_csv_header_keeps_the_report_order(capsys, argv, header):
+    # JSON sorts its keys; the CSV header shows the order of the report's extra
+    rc, out = run(capsys, *argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5.6",
+                  "--format", "csv", "--timestamp", TS)
+    assert rc == 0
+    assert out.split("\n")[1] == header
+
+
 def test_warnings_print_without_source_path(capsys):
     # R = 20 lies above N^(1/4) = 5.6 for the lemma3 and S sums at N = 1000
     tup = ["--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "20", "--timestamp", TS]
@@ -327,9 +341,9 @@ def test_computation_error_exit_1(capsys):
     rc = main(["density", "--r", "1", "--eps", "0.1"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-    rc = main(["classify", "--n", "1"])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: table [2, 3) does not cover [1, 2)\n"
+    for n in (1, 0, -7):  # refused before a table is built, naming n
+        assert main(["classify", "--n", str(n)]) == 1
+        assert capsys.readouterr().err == f"error: need n >= 2, got {n}\n"
     # k = 0 reaches the tuple generator's check, not the missing-option message
     for cmd in (["weights", "--n-window", "100", "--l", "1", "--big-r", "10"], ["singular-series"]):
         assert main([*cmd, "--k", "0"]) == 1

@@ -123,9 +123,9 @@ def full_length_batch(lo, hi, cfg):
 @pytest.mark.parametrize("k", [3, 6])
 def test_blocked_batch_is_bit_identical_to_full_length(R, k):
     # unaligned lo, three whole blocks and a ragged tail; the moduli fall on
-    # both sides of BLOCK_MAX_D once R > BLOCK_MAX_D
+    # both sides of sieve.SMALL_P once R > sieve.SMALL_P
     lo = 10**6 + 12345
-    hi = lo + 3 * weights.BLOCK + 777
+    hi = lo + 3 * sieve.BLOCK + 777
     cfg = WeightConfig(H=generate_tuple(k), l=1, R=R)
     got = lambda_r_batch(lo, hi, cfg)
     assert got.tobytes() == full_length_batch(lo, hi, cfg).tobytes()
@@ -139,7 +139,7 @@ P = 30030  # the base period once R >= 13: 2 * 3 * 5 * 7 * 11 * 13
     (40 * P + P - 1, 1000),  # lo = P - 1 mod P
     (40 * P, P - 1),
     (40 * P + P - 1, P - 1),
-    (40 * P + P - 1, 2 * weights.BLOCK + 5),  # several blocks, each from its own phase
+    (40 * P + P - 1, 2 * sieve.BLOCK + 5),  # several blocks, each from its own phase
 ])
 @pytest.mark.parametrize("R, k, l", [
     (7.3, 3, 1),  # R < 16: the base is the whole plan
@@ -162,7 +162,7 @@ def test_periodic_base_takes_the_longest_prefix_within_block():
     base, rest = weights._weight_plan(WeightConfig(H=generate_tuple(3), l=1, R=12.5))
     assert len(base) == 2310 and rest == []
     base, rest = weights._weight_plan(WeightConfig(H=generate_tuple(3), l=1, R=30.0))
-    assert len(base) == P <= weights.BLOCK and rest[0][0] == 17
+    assert len(base) == P <= sieve.BLOCK and rest[0][0] == 17
     d, val, _ = rest[-1]
     assert d == 30 and val == 0.0 and math.copysign(1.0, val) == -1.0
 
@@ -477,8 +477,10 @@ def test_prediction_log_power_scaling(table_win_1e4):
 def test_out_of_range_R_warns(table_win_1e4):
     N = 10**4
     cfg = WeightConfig(H=AdmissibleTuple((0, 2)), l=0, R=500.0)  # > N^(1/4)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         moment_lemma2(N, cfg, 0, table_win_1e4)
+    # the warning names the line that called the public function
+    assert [w.filename for w in caught] == [__file__]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -488,7 +490,7 @@ def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypat
     # 1000 splits [N, 2N) into 10 whole chunks, 999 leaves a ragged last
     # one, and 15000 makes one chunk longer than CHUNK // 2, filled in two
     # halves; the shifts n + h and the star slice cross every chunk end, and
-    # R = 300 adds moduli above BLOCK_MAX_D.  Reference: fsum of the sums
+    # R = 300 adds moduli above sieve.SMALL_P.  Reference: fsum of the sums
     # of the same slices of each full-width expression.
     N, t = 10**4, table_win_1e4
     cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=R)
