@@ -49,6 +49,9 @@ primegaps moments --variant lemma1 --n-window 1000000 --k 6 --l 1 --big-r 1000 \
 # Lemma 1 over three chunks, the first in a forked child when two cores are free
 primegaps moments --variant lemma1 --n-window 3000000 --k 3 --l 1 --big-r 41 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 68050122.97953999)'
+# Lemma 1 reads no table: 96 chunks of weights at N = 1e8, with no 0.9 GB factor table
+primegaps moments --variant lemma1 --n-window 100000000 --k 3 --l 1 --big-r 100 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 8121108896.625306)'
 # Lemma 2 over one chunk filled in two halves
 primegaps moments --variant lemma2 --h 2 --n-window 1000000 --k 3 --l 1 --big-r 31.6 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 1765303.8328963881)'
@@ -62,6 +65,13 @@ primegaps count-star --n-window 3000000 --r 3 --eps 0.3 \
 # 500 passes over the 78498 primes <= 1e6, shared with a forked child when two cores are free
 primegaps bv --n-window 1000000 --q-max 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 27509.77015393265)'
+# an inadmissible tuple (its predicted main terms are 0) is an error line, not a traceback
+printf '0,1,2\n' > "$tmp/inadmissible.txt"
+rc=0; primegaps moments --variant lemma1 --n-window 1000 --tuple-file "$tmp/inadmissible.txt" --l 1 --big-r 5 \
+  2> "$tmp/inadmissible.err" || rc=$?
+test "$rc" -eq 1
+grep -q "^error:" "$tmp/inadmissible.err"
+if grep -q "Traceback" "$tmp/inadmissible.err"; then exit 1; fi
 rc=0; primegaps s-stat --n-window 1000 --k 3 --l 1 --big-r 5 --h 5 2> "$tmp/usage.err" || rc=$?
 test "$rc" -eq 2
 grep -q "primegaps s-stat: error:" "$tmp/usage.err"

@@ -10,7 +10,6 @@ Example:
 
 import argparse
 
-from primegaps.sieve import build_factor_table
 from primegaps.tuples import generate_tuple
 from primegaps.weights import WeightConfig, moment_lemma1, moment_lemma2
 
@@ -29,11 +28,10 @@ def main() -> None:
     for e in range(args.exp_min, args.exp_max + 1):
         N = 10**e
         cfg = WeightConfig(H=H, l=args.l, R=N**0.25)
-        table = build_factor_table(N, 2 * N + max(H.offsets))
-        rep = moment_lemma1(N, cfg, table)
+        rep = moment_lemma1(N, cfg)
         print(f"{N},{rep.variant},{rep.empirical:.8g},{rep.predicted_main_term:.8g},{rep.ratio:.6f}")
         if args.with_prime_indicator:
-            rep2 = moment_lemma2(N, cfg, H.offsets[0], table)
+            rep2 = moment_lemma2(N, cfg, H.offsets[0])
             print(
                 f"{N},{rep2.variant},{rep2.empirical:.8g},"
                 f"{rep2.predicted_main_term:.8g},{rep2.ratio:.6f}"

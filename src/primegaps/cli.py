@@ -240,21 +240,17 @@ def cmd_weights(args):
 
 def cmd_moments(args):
     cfg = _weight_config(args)
+    if not tuples.is_admissible(cfg.H):  # its predicted main terms would all be 0
+        raise ValueError(f"tuple {cfg.H.offsets} is not admissible")
     N = args.n_window
-    variant = weights.S_STATISTIC if args.subcommand == "s-stat" else args.variant
-    h = args.h if variant in (weights.LEMMA2, weights.LEMMA3) else None
-    spec = None if variant in (weights.LEMMA1, weights.LEMMA2) else _star_spec(args)
-    weights.check_moment_args(N, cfg, h, spec)
-    cfg.plan  # made before the table, so an R past the divisor budget is refused first
-    table = build_factor_table(N, 2 * N + max(cfg.H.offsets))
-    if variant == weights.LEMMA1:
-        rep = weights.moment_lemma1(N, cfg, table)
-    elif variant == weights.LEMMA2:
-        rep = weights.moment_lemma2(N, cfg, h, table)
-    elif variant == weights.LEMMA3:
-        rep = weights.moment_lemma3(N, cfg, h, spec, table)
+    if args.subcommand == "s-stat":
+        rep = weights.s_statistic(N, cfg, _star_spec(args))
+    elif args.variant == weights.LEMMA1:
+        rep = weights.moment_lemma1(N, cfg)
+    elif args.variant == weights.LEMMA2:
+        rep = weights.moment_lemma2(N, cfg, args.h)
     else:
-        rep = weights.s_statistic(N, cfg, spec, table)
+        rep = weights.moment_lemma3(N, cfg, args.h, _star_spec(args))
     return {
         "N": rep.N,
         "variant": rep.variant,

@@ -17,13 +17,14 @@ chunks in a forked child when two cores are free, writes the summand into
 that chunk's weights in place, one sieve.BLOCK at a time with the float
 operations of the plain expression in its order, and passes the chunk sums
 to math.fsum in chunk order, so the sums hold no N-sized array and keep
-their bits.  Lemma 1 is its case with no indicator, w^2 alone.  Lemmas 2
-and 3 and S count the shifts h with n + h prime (read from the factor
-table, which equidist does not read) or a star member, and weigh w^2 by
-that count, or for S by the count minus one.  The star set is listed from
-its primes once per sum, before the fork, and each chunk's job scatters
-its own rows.  A window of one chunk longer than half a chunk is filled
-in two halves the same way, in one shared mapping.
+their bits.  Lemma 1 is its case with no indicator, w^2 alone, and reads
+no table.  Lemmas 2 and 3 and S count the shifts h with n + h prime or a
+star member, and weigh w^2 by that count, or for S by the count minus
+one; primality is read from the factor table of [N, 2N + max H), which a
+caller may pass and which _moment builds otherwise.  The star set is
+listed from its primes once per sum, before the fork, and each chunk's
+job scatters its own rows.  A window of one chunk longer than half a
+chunk is filled in two halves the same way, in one shared mapping.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -238,22 +239,6 @@ def _series_value(H: AdmissibleTuple) -> float:
     return singular_series(H, SERIES_P_MAX).value
 
 
-def check_moment_args(
-    N: int, cfg: WeightConfig, h: int | None = None, spec: balanced.StarSetSpec | None = None
-) -> None:
-    """Reject a shift h outside the tuple and a star spec other than r in (2, 3) over base N.
-
-    Cheap, so callers can run it before building the factor table.
-    """
-    if h is not None and h not in cfg.H.offsets:
-        raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
-    if spec is not None:
-        if spec.r not in (2, 3):
-            raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
-        if spec.N != N:
-            raise ValueError(f"spec window base {spec.N} != N={N}")
-
-
 def _main_term(N: int, cfg: WeightConfig, s_h: float, j: int, uplift: float = 1.0) -> float:
     """binom(2l+2j, l+j) N (ln R)^(k+2l+j) S(H) uplift / ((k+2l+j)! (ln N)^j).
 
@@ -355,7 +340,7 @@ def _moment_sums(
 
 
 def _moment(
-    variant: str, N: int, cfg: WeightConfig, table: FactorTable,
+    variant: str, N: int, cfg: WeightConfig, table: FactorTable | None,
     h: int | None = None, spec: balanced.StarSetSpec | None = None,
 ) -> MomentReport:
     """One moment sum over [N, 2N) against its predicted main term; the ratio is inf when that is 0.
@@ -363,17 +348,31 @@ def _moment(
     The sums differ only in the factor that multiplies w^2: none for Lemma
     1, the indicator at shift h for Lemma 2 (the primes) and Lemma 3 (the
     primes or, from spec, the star set), and the hits minus one over every
-    shift of H for S.  The arguments and the table's coverage of
-    [N, 2N + max H) are checked and the weights planned, so an R past the
-    divisor budget is refused, before the range warnings are given.
+    shift of H for S.  Before the range warnings, in this order: the
+    arguments are checked, a table passed in must cover [N, 2N + max H),
+    the weights are planned (refusing an R past the divisor budget), and a
+    sum that reads primality (all but Lemma 1) is given that window's
+    factor table when none was passed (refused if it would not fit).
     """
-    check_moment_args(N, cfg, h, spec)
-    table.span(N, 2 * N + max(cfg.H.offsets))
+    if h is not None and h not in cfg.H.offsets:
+        raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
+    if spec is not None:
+        if spec.r not in (2, 3):
+            raise ValueError(f"star factor count must be 2 or 3, got r={spec.r}")
+        if spec.N != N:
+            raise ValueError(f"spec window base {spec.N} != N={N}")
+    if N < 2:  # refused as a table build would refuse it, for Lemma 1 too
+        raise ValueError(f"window floor is 2, got lo={N}")
+    hi = 2 * N + max(cfg.H.offsets)
+    if table is not None:
+        table.span(N, hi)
     plan = cfg.plan
-    quarter = variant != LEMMA1
-    if cfg.R > (N**0.25 if quarter else math.sqrt(N)):
+    reads_primes = variant != LEMMA1
+    if table is None and reads_primes:
+        table = sieve.build_factor_table(N, hi)
+    if cfg.R > (N**0.25 if reads_primes else math.sqrt(N)):
         warnings.warn(
-            f"R={cfg.R} exceeds the stated range (~N^{'1/4' if quarter else '1/2'}); "
+            f"R={cfg.R} exceeds the stated range (~N^{'1/4' if reads_primes else '1/2'}); "
             "the asymptotic main term may not apply",
             stacklevel=3,
         )
@@ -405,30 +404,31 @@ def _moment(
     return MomentReport(N, cfg, variant, empirical, predicted, ratio, extra)
 
 
-def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable) -> MomentReport:
-    """Sum of squared weights over [N, 2N) vs its predicted main term."""
+def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable | None = None) -> MomentReport:
+    """Sum of squared weights over [N, 2N) vs its predicted main term; reads no table, so builds none."""
     return _moment(LEMMA1, N, cfg, table)
 
 
-def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable) -> MomentReport:
-    """Squared weights against the prime indicator at shift h."""
+def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable | None = None) -> MomentReport:
+    """Squared weights against the prime indicator at shift h (from table, built over [N, 2N + max H) if None)."""
     return _moment(LEMMA2, N, cfg, table, h=h)
 
 
 def moment_lemma3(
-    N: int, cfg: WeightConfig, h: int, spec: balanced.StarSetSpec, table: FactorTable
+    N: int, cfg: WeightConfig, h: int, spec: balanced.StarSetSpec, table: FactorTable | None = None
 ) -> MomentReport:
-    """Squared weights against the widened prime-or-star indicator."""
+    """Squared weights against the widened prime-or-star indicator; primes are read as in moment_lemma2."""
     return _moment(LEMMA3, N, cfg, table, h=h, spec=spec)
 
 
 def s_statistic(
-    N: int, cfg: WeightConfig, spec: balanced.StarSetSpec, table: FactorTable
+    N: int, cfg: WeightConfig, spec: balanced.StarSetSpec, table: FactorTable | None = None
 ) -> MomentReport:
     """Weighted count of hits minus one across the tuple shifts.
 
     empirical = sum over n in [N, 2N) of (sum_i chi(n + h_i) - 1) w(n)^2;
     a positive value certifies two hits among {n + h_i} for some n in the
-    window.  Also reports the number of n with at least two hits.
+    window.  Also reports the number of n with at least two hits.  The
+    primes are read as in moment_lemma2.
     """
     return _moment(S_STATISTIC, N, cfg, table, spec=spec)

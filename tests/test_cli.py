@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 import primegaps
 import numpy as np
 
-from primegaps import cli, equidist, weights
+from primegaps import cli, equidist, sieve, weights
 from primegaps.cli import build_parser, main
 from primegaps.density import c0
 from primegaps.sieve import build_factor_table, primes_up_to
@@ -141,6 +142,21 @@ def test_budget_refusal_comes_before_the_range_warning(capsys):
     for argv in (["moments", "--variant", "lemma1"], ["s-stat"]):
         assert main([*argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "2e8"]) == 1
         assert capsys.readouterr().err == "error: R=200000000.0 exceeds the divisor enumeration budget\n"
+
+
+def test_moment_commands_build_only_the_table_they_read(capsys, monkeypatch):
+    # Lemma 1 reads only the weights; the others read primality from one [N, 2N + max H) table
+    windows, build = [], sieve.build_factor_table
+    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: windows.append((lo, hi)) or build(lo, hi))
+    monkeypatch.setattr(cli, "build_factor_table", sieve.build_factor_table)
+    for argv, built in ((["moments", "--variant", "lemma1"], []),
+                        (["moments", "--variant", "lemma2", "--h", "2"], [(1000, 2006)]),
+                        (["moments", "--variant", "lemma3", "--h", "2"], [(1000, 2006)]),
+                        (["s-stat"], [(1000, 2006)])):
+        assert main([*argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5"]) == 0
+        capsys.readouterr()
+        assert windows == built, argv
+        windows.clear()
 
 
 def test_moment_commands_plan_the_weights_once(capsys, monkeypatch):
@@ -406,13 +422,14 @@ def test_oversized_window_fails_before_allocating(capsys):
     # 17 bytes per table integer at N = 1e12 exceeds any physical memory, and
     # so do the prime sieves to 1e12 or more, such as the primes of I to
     # N^0.7475 at N = 1e15, eps = 0.99; the estimate is refused before the
-    # table, the sieve or a float vector exists
+    # table, the sieve or a float vector exists (Lemma 1 builds no table and
+    # holds only chunk buffers, so the moments case is Lemma 2)
     tup = ["--k", "3", "--l", "1", "--big-r", "10"]
     huge = ["--n-window", str(10**12)]
     wide_star = ["--n-window", str(10**15), "--r", "2", "--eps", "0.99"]
     for argv in (["bv", *huge, "--q-max", "10"], ["bv-weighted", *huge, "--q-max", "10", "--alpha", "0.5"],
                  ["bv-star", *wide_star, "--q-max", "10"], ["count-star", *wide_star], ["weights", *huge, *tup],
-                 ["moments", "--variant", "lemma1", *huge, *tup], ["s-stat", *huge, *tup],
+                 ["moments", "--variant", "lemma2", *huge, *tup], ["s-stat", *huge, *tup],
                  ["classify", "--n", str(10**30)],
                  ["singular-series", "--k", "3", "--p-max", str(10**12)], ["tuple", "--k", str(10**12)],
                  ["weights", "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "1e12"]):
@@ -485,11 +502,12 @@ def test_json_layout_matches_the_encoder(capsys, name):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_non_finite_value_writes_nothing(capsys, tmp_path, fmt):
-    # an inadmissible tuple has singular series 0, so the predicted moment is 0 and the ratio inf
-    tup = tmp_path / "t.txt"
-    tup.write_text("0,1,2\n")
-    argv = ["moments", "--variant", "lemma1", "--n-window", "1000", "--tuple-file", str(tup),
+def test_non_finite_value_writes_nothing(capsys, tmp_path, monkeypatch, fmt):
+    # the library's report for a degenerate tuple: its predicted moment is 0 and the ratio inf
+    lemma1 = weights.moment_lemma1
+    monkeypatch.setattr(weights, "moment_lemma1",
+                        lambda N, cfg: dataclasses.replace(lemma1(N, cfg), ratio=math.inf))
+    argv = ["moments", "--variant", "lemma1", "--n-window", "1000", "--k", "3",
             "--l", "1", "--big-r", "5.6", "--format", fmt, "--timestamp", TS]
     out_file = tmp_path / "out"
     for extra in ([], ["--out", str(out_file)]):
@@ -498,6 +516,21 @@ def test_non_finite_value_writes_nothing(capsys, tmp_path, fmt):
         assert captured.err == "error: non-finite value in output\n"
         assert captured.out == ""
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [["moments", "--variant", "lemma1"], ["moments", "--variant", "lemma2"],
+                                  ["moments", "--variant", "lemma3"], ["s-stat"]])
+def test_inadmissible_tuple_is_refused_before_any_plan_or_table(capsys, tmp_path, monkeypatch, argv):
+    # its singular series is 0, so every predicted main term would be 0 and each ratio inf
+    made = []
+    monkeypatch.setattr(weights, "_squarefree_moduli", lambda *a: made.append("plan"))
+    monkeypatch.setattr(sieve, "build_factor_table", lambda *a: made.append("table"))
+    tup = tmp_path / "t.txt"
+    tup.write_text("0,1,2\n")
+    rc = main([*argv, "--n-window", "1000", "--tuple-file", str(tup), "--l", "1", "--big-r", "5.6"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", "error: tuple (0, 1, 2) is not admissible\n")
+    assert made == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -479,8 +479,43 @@ def test_out_of_range_R_warns(table_win_1e4):
     cfg = WeightConfig(H=AdmissibleTuple((0, 2)), l=0, R=500.0)  # > N^(1/4)
     with pytest.warns(UserWarning) as caught:
         moment_lemma2(N, cfg, 0, table_win_1e4)
+        moment_lemma2(N, cfg, 0)
     # the warning names the line that called the public function
-    assert [w.filename for w in caught] == [__file__]
+    assert [w.filename for w in caught] == [__file__] * 2
+
+
+def _moment_calls(N, cfg, spec, table=None):
+    """The four moment reports over [N, 2N), with table or (None) with the tables the sums build."""
+    return [moment_lemma1(N, cfg, table), moment_lemma2(N, cfg, 2, table),
+            moment_lemma3(N, cfg, 2, spec, table), s_statistic(N, cfg, spec, table)]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("N", [10**4, 7 * 10**5, 3 * sieve.CHUNK + 5])
+def test_moments_without_a_table_equal_those_with_one(N):
+    # 7e5 is one chunk filled in two halves, 3 CHUNK + 5 four chunks shared
+    # with a forked child; repr tells every float apart by its bits
+    cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    want = _moment_calls(N, cfg, spec, build_factor_table(N, 2 * N + 6))
+    got = _moment_calls(N, cfg, spec)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_moment_sums_build_only_the_table_they_read(monkeypatch):
+    # Lemma 1 reads only the weights; the others build one [N, 2N + max H)
+    # table when none is passed, and none when one is
+    N, windows, build = 10**4, [], sieve.build_factor_table
+    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: windows.append((lo, hi)) or build(lo, hi))
+    cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    assert moment_lemma1(N, cfg).empirical > 0
+    assert windows == []
+    _moment_calls(N, cfg, spec)  # Lemma 1, then one build each for Lemma 2, Lemma 3 and S
+    assert windows == [(N, 2 * N + 6)] * 3
+    windows.clear()
+    _moment_calls(N, cfg, spec, build(N, 2 * N + 6))
+    assert windows == []
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
