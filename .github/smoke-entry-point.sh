@@ -65,6 +65,13 @@ primegaps count-star --n-window 3000000 --r 3 --eps 0.3 \
 # 500 passes over the 78498 primes <= 1e6, shared with a forked child when two cores are free
 primegaps bv --n-window 1000000 --q-max 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 27509.77015393265)'
+# 15 passes over the dense g(n) = sum of mu(m) over n = m p <= 1e6, shared with a forked child when two cores are free
+primegaps bv-weighted --n-window 1000000 --q-max 30 --alpha 0.5 --f mobius \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 56838.91398688033)'
+# non-integer f(m) = cos m: the q = 1 total of g adds g(n) in increasing n
+python -c 'import math; print("\n".join(f"{m} {math.cos(m)!r}" for m in range(1, 1001)))' > "$tmp/cos.txt"
+primegaps bv-weighted --n-window 1000000 --q-max 1 --alpha 0.5 --f "$tmp/cos.txt" \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 9.523503831481094)'
 # an inadmissible tuple (its predicted main terms are 0) is an error line, not a traceback
 printf '0,1,2\n' > "$tmp/inadmissible.txt"
 rc=0; primegaps moments --variant lemma1 --n-window 1000 --tuple-file "$tmp/inadmissible.txt" --l 1 --big-r 5 \

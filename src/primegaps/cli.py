@@ -287,15 +287,15 @@ def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
     # the primes <= N, a bool sieve kept as int64 primes (primes_nbytes); g's
-    # N + 1 floats, then its support's int32 indices and float values, and in
-    # each of the two processes a pass's int32 residues and bincount's int64
-    # copy of them: at most 36 B per integer; f with,
-    # while g is scattered, the m with f(m) != 0 and where their pairs start
-    # and end, and later the main terms: at most 32 B per m; the temporaries
-    # of one sieve.BLOCK of (m, p) pairs, or of Li over one BLOCK of m: at
-    # most 80 B per element; and mu's prime sieve
+    # N + 1 floats, which every per-q pass reads in place; f with, while g is
+    # scattered, the m with f(m) != 0 and where their pairs start and end, and
+    # later the main terms: at most 32 B per m; the temporaries of one
+    # sieve.BLOCK of (m, p) pairs, of Li over one BLOCK of m, or of the
+    # running sum of a q = 1 pass: at most 80 B per element; in each of the
+    # two processes, the class totals of one top and the temporaries of its
+    # rows and of its half's: at most 56 B per q; and mu's prime sieve
     mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
-    check_fits(primes_nbytes(N) + mobius_sieve + 36 * (N + 1) + 32 * m_max + 80 * BLOCK)
+    check_fits(primes_nbytes(N) + mobius_sieve + 8 * (N + 1) + 32 * m_max + 80 * BLOCK + 112 * args.q_max)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

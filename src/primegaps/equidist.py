@@ -7,22 +7,27 @@ from the expected main term, and the sum of those maxima over q.  A third
 variant weights the inner prime counts by a bounded coefficient f(m) over
 products m * p <= N.
 
-All three run through one kernel, `_discrepancy`: integer targets with
-optional weights (the weighted variant folds f into g(n) = sum f(m) over
-n = m * p) against a scalar main term M / phi(q).  Class totals mod q are
-the two halves of those mod 2q added, so only q in (q_max/2, q_max] takes
-a pass over the targets; each smaller q is reached by halving from one.
-The passes take int32 residues below 2^31, as values - (values // q) * q:
-numpy divides by a scalar through libdivide, and has no such route for
-%.  When the passes cover more than sieve.SEGMENT residues in all,
-the tops are shared between the caller and one forked child when two
-cores are free (sieve._in_two); each process holds the residues of its
-own pass.  The rows come back by q and the total is summed in q order, so
-the report is the same either way.  No variant reads a factor table: the
+All three run through one kernel, `_discrepancy`, against a scalar main
+term M / phi(q).  It takes the class totals mod q from one of two
+sources: the residue bincount of an integer target list (primes, star
+members), or the class sums of the weighted variant's dense
+g(n) = sum f(m) over n = m * p, which add each class in increasing n as
+bincount does.  Class totals mod q are the two halves of those mod 2q
+added, so only q in (q_max/2, q_max] takes a pass over the targets; each
+smaller q is reached by halving from one.  Each row lists its coprime
+classes by striking the multiples of q's prime factors.  The list passes
+take int32 residues below 2^31, as values - (values // q) * q: numpy
+divides by a scalar through libdivide, and has no such route for %.
+When the passes cover more than sieve.SEGMENT targets in all, the tops
+are shared between the caller and one forked child when two cores are
+free (sieve._in_two); each process holds the residues of its own list
+pass, while a weighted pass reads g in place and holds only its q totals.
+The rows come back by q and the total is summed in q order, so the
+report is the same either way.  No variant reads a factor table: the
 primes <= N come from sieve.primes_up_to, and the star members are listed
-from the primes of their interval (balanced).  The weighted
-variant's main terms sum Li(N/m) one sieve.BLOCK of m at a time, and its
-g is scattered one sieve.BLOCK of pairs (m, p) at a time.
+from the primes of their interval (balanced).  The weighted variant's
+main terms sum Li(N/m) one sieve.BLOCK of m at a time, and its g is
+scattered one sieve.BLOCK of pairs (m, p) at a time.
 
 The cutoffs that theory phrases through log powers, such as
 q_max = sqrt(N) / ln^C N, are explicit parameters here.
@@ -79,8 +84,8 @@ class DiscrepancyReport:
     main_term_used: float
 
 
-def _per_class_counts(values: np.ndarray, q: int, weights: np.ndarray | None = None):
-    """Totals of the positive values (or of their weights) in each class mod q.
+def _per_class_counts(values: np.ndarray, q: int) -> np.ndarray:
+    """Counts of the positive values in each class mod q.
 
     The residues are values - (values // q) * q, equal to values % q for
     positive values, in one buffer reused in place: numpy divides by a
@@ -89,25 +94,60 @@ def _per_class_counts(values: np.ndarray, q: int, weights: np.ndarray | None = N
     res = np.floor_divide(values, q)
     res *= q
     np.subtract(values, res, out=res)
-    return np.bincount(res, weights=weights, minlength=q)
+    return np.bincount(res, minlength=q)
+
+
+def _class_sums(g: np.ndarray, q: int) -> np.ndarray:
+    """Totals of g(n) over each class n mod q, for a dense g over n = 0 .. g.size - 1.
+
+    Each class is added in increasing n, the order of np.bincount over n % q:
+    the rows of q classes are summed down their columns and the short last
+    row is added into the first classes.  numpy sums a single column
+    pairwise, so q = 1 carries a running total through cumsums instead,
+    one sieve.BLOCK at a time.
+    """
+    if q == 1:
+        total = 0.0
+        for a in range(0, g.size, sieve.BLOCK):
+            total = np.cumsum(np.concatenate(([total], g[a : a + sieve.BLOCK])))[-1]
+        return np.array([total])
+    cut = g.size - g.size % q
+    sums = g[:cut].reshape(-1, q).sum(axis=0)
+    sums[: g.size - cut] += g[cut:]
+    return sums
+
+
+def _coprime_classes(q: int) -> np.ndarray:
+    """The classes a mod q coprime to q, ascending: a mask struck at the multiples of each prime factor of q."""
+    keep = np.ones(q, dtype=bool)
+    d, rest = 2, q
+    while d * d <= rest:
+        if rest % d == 0:
+            keep[::d] = False
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        keep[::rest] = False
+    return np.flatnonzero(keep)
 
 
 def _discrepancy(
-    values: np.ndarray, weights: np.ndarray | None, q_max: int, main: float,
-    alt_main: float | None = None,
+    totals, size: int, q_max: int, main: float, alt_main: float | None = None,
 ) -> DiscrepancyReport:
     """Worst coprime-class deviation from main / phi(q) for q = 1 .. q_max.
 
-    values are in window_dtype, whose residues each pass takes: int32 ones
-    are cheaper than int64.  With alt_main, each row also reports the
-    deviation from alt_main / phi(q).
+    totals(top) gives the class totals mod top, from a pass over size
+    targets: the residue bincount of a value list, or the class sums of a
+    dense g.  With alt_main, each row also reports the deviation from
+    alt_main / phi(q).
     """
     def chain(top: int) -> list[QRow]:
-        """Rows of top, top / 2, ... down to the first odd q, from one pass over values."""
-        counts = _per_class_counts(values, top, weights)
+        """Rows of top, top / 2, ... down to the first odd q, from one pass over the targets."""
+        counts = totals(top)
         out, q = [], top
         while True:
-            coprime = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+            coprime = _coprime_classes(q)
             phi_q = coprime.size
             cop = counts[coprime]
             term = main / phi_q
@@ -125,7 +165,7 @@ def _discrepancy(
 
     # every q <= q_max is top / 2^k for exactly one top in (q_max/2, q_max]
     tops = range(q_max // 2 + 1, q_max + 1)
-    if values.size * len(tops) > sieve.SEGMENT:
+    if size * len(tops) > sieve.SEGMENT:
         chains = sieve._in_two(chain, tops)
     else:
         chains = [chain(top) for top in tops]
@@ -165,7 +205,9 @@ def bv_prime_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = Non
     """
     if cfg.target != PRIMES_LE_N:
         raise ValueError("config target must be primes_le_N")
-    return _discrepancy(_target_values(cfg, table), None, cfg.q_max, log_integral(cfg.N))
+    primes = _target_values(cfg, table)
+    main = log_integral(cfg.N)
+    return _discrepancy(lambda top: _per_class_counts(primes, top), primes.size, cfg.q_max, main)
 
 
 def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = None) -> DiscrepancyReport:
@@ -183,7 +225,8 @@ def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = None
     c0v = density.c0(spec.r, spec.eps).value
     li_n = log_integral(spec.N)
     li_window = log_integral(2 * spec.N) - li_n
-    return _discrepancy(members, None, cfg.q_max, c0v * li_n, c0v * li_window)
+    return _discrepancy(lambda top: _per_class_counts(members, top), members.size, cfg.q_max,
+                        c0v * li_n, c0v * li_window)
 
 
 def weighted_discrepancy(
@@ -228,15 +271,12 @@ def weighted_discrepancy(
         i = np.repeat(np.arange(i0, i1 + 1), lens)  # the m of each pair
         m = ms[i]
         np.add.at(g, m * primes[np.arange(k0, k1) - starts[i]], f[m - 1])
-    del ms, ends, starts
-    support = np.flatnonzero(g).astype(window_dtype(N + 1))
-    g_vals = g[support]
-    del g  # keep only the support of g through the per-q passes
+    del primes, ms, ends, starts  # the per-q passes read g alone, in place
     # one sieve.BLOCK of m at a time bounds Li's temporaries; Li gives each
     # element the same value in any array, and fsum is exactly rounded
     main_terms = np.empty(m_max)
     for a in range(0, m_max, sieve.BLOCK):
         b = min(a + sieve.BLOCK, m_max)
         main_terms[a:b] = f[a:b] * log_integral(np.maximum(N / np.arange(a + 1, b + 1), 2.0))
-    rep = _discrepancy(support, g_vals, cfg.q_max, math.fsum(main_terms))
+    rep = _discrepancy(lambda top: _class_sums(g, top), g.size, cfg.q_max, math.fsum(main_terms))
     return replace(rep, main_term_used=log_integral(N))

@@ -399,12 +399,12 @@ def test_computation_error_exit_1(capsys):
 
 @pytest.mark.parametrize("N, alpha", [(10**6, "0.5"), (10**5, "0.05"), (10**6, "0.05"), (10**4, "0.01")])
 def test_bv_weighted_peak_stays_within_its_memory_charge(N, alpha, monkeypatch):
-    # the charge covers g, its support and the residues of a pass (in both
-    # processes when the passes fork), f with the scatter's per-m offsets or
-    # the main terms, and the temporaries of one block of (m, p) pairs or of
-    # Li over one block of m, which dominate at small alpha (m_max is under
-    # one block at N = 1e5, about four at 1e6; N = 1e4 has about two pairs
-    # per m); the caller's traced peak stays below it
+    # the charge covers g, which the passes read in place, the class totals
+    # of a pass (in both processes when the passes fork), f with the
+    # scatter's per-m offsets or the main terms, and the temporaries of one
+    # block of (m, p) pairs or of Li over one block of m, which dominate at
+    # small alpha (m_max is under one block at N = 1e5, about four at 1e6;
+    # N = 1e4 has about two pairs per m); the caller's traced peak stays below it
     charged = []
     monkeypatch.setattr(cli, "check_fits", charged.append)
     args = build_parser().parse_args(["bv-weighted", "--n-window", str(N), "--q-max", "30",

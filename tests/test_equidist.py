@@ -265,32 +265,61 @@ def test_weighted_scatter_equals_the_loop_over_m(table_full_1e5, monkeypatch, al
     for m, fm in enumerate(f.tolist(), start=1):
         if fm:
             g[m * ps[: np.searchsorted(ps, N // m, side="right")]] += fm
-    seen, kernel = [], equidist._discrepancy
+    seen, sums = [], equidist._class_sums
 
-    def recorded(values, w, *rest):
-        seen.append((values, w))
-        return kernel(values, w, *rest)
+    def recorded(dense, q):
+        seen.append(dense)
+        return sums(dense, q)
 
-    monkeypatch.setattr(equidist, "_discrepancy", recorded)
+    monkeypatch.setattr(equidist, "_class_sums", recorded)
     monkeypatch.setattr(sieve, "BLOCK", 1000)
     weighted_discrepancy(DiscrepancyConfig(N=N, q_max=10), alpha, f, table_full_1e5)
-    (values, w), = seen
-    assert np.array_equal(values, np.flatnonzero(g)) and w.tobytes() == g[values].tobytes()
+    # each of the five tops 6..10 sums that g, in place
+    assert len(seen) == 5 and all(x is seen[0] for x in seen)
+    assert seen[0].tobytes() == g.tobytes()
+
+
+def test_class_sums_equal_bincount_of_remainders():
+    # the class sums of a dense g add each class in increasing n, as
+    # bincount over n % q does, so every bit agrees; q = 1 runs over more
+    # than two sieve.BLOCKs, where numpy's own sum of one column is pairwise
+    rng = np.random.default_rng(7)
+    size = 2 * sieve.BLOCK + 12345
+    g = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+    g[rng.random(size) < 0.4] = 0.0
+    n = np.arange(size)
+    for q in (*range(1, 71), 128, 997, 1000, 4096):
+        got = equidist._class_sums(g, q)
+        assert got.tobytes() == np.bincount(n % q, weights=g, minlength=q).tobytes(), q
+
+
+@pytest.mark.parametrize("q_max, total", [(1, 9.523503831481094), (2, 21566.573800883787),
+                                          (7, 73765.33226885808)])
+def test_weighted_cos_totals_pinned(q_max, total):
+    # f(m) = cos m at N = 1e6: the totals of the residue bincount over g's
+    # support, which the class sums of the dense g reproduce bit for bit
+    rep = weighted_discrepancy(DiscrepancyConfig(N=10**6, q_max=q_max), 0.5, np.cos(np.arange(1, 1001)))
+    assert rep.total == total
+
+
+def test_coprime_classes_equal_those_of_gcd():
+    # a prime near 1e6, 2^20, the primorial 510510 and the square 997^2
+    for q in (*range(1, 5001), 999983, 1 << 20, 510510, 997**2):
+        want = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        assert np.array_equal(equidist._coprime_classes(q), want), q
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_per_class_counts_equal_bincount_of_remainders(dtype):
     # residues by scalar division equal values % q for positive values, up
-    # to the largest int32, with and without weights
+    # to the largest int32
     rng = np.random.default_rng(0)
     top = np.iinfo(np.int32).max
     values = np.concatenate([np.arange(1, 300), rng.integers(1, top, 5000, endpoint=True),
                              np.arange(top - 300, top + 1)]).astype(dtype)
-    weights = rng.standard_normal(values.size)
     for q in (1, 2, 3, 30, 997, 1000, 65536, 10**6 + 3):
-        for w in (None, weights):
-            got = equidist._per_class_counts(values, q, w)
-            assert np.array_equal(got, np.bincount(values % q, weights=w, minlength=q)), (q, w is None)
+        got = equidist._per_class_counts(values, q)
+        assert np.array_equal(got, np.bincount(values % q, minlength=q)), q
 
 
 def _spy_forks(monkeypatch) -> list:
