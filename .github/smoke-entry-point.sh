@@ -30,6 +30,9 @@ test "$rc" -eq 1
 grep -q "^error:" "$tmp/f-bad.err"
 if grep -q "Traceback" "$tmp/f-bad.err"; then exit 1; fi
 primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
+# one integer high up: 2^50 - 3 = 59 * 176329 * 108224111, sieved by the primes up to 2^25
+primegaps classify --n 1125899906842621 \
+  | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["omega"], r["is_prime"], r["threshold"]) != (3, 0, 0.7795891719468148))'
 # a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
 primegaps moments --variant lemma2 --h 2 --n-window 5000000 --k 3 --l 1 --big-r 37 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 10853347.104558202)'

@@ -6,13 +6,18 @@ prime factor and number of prime factors counted with multiplicity, built
 by a segmented Eratosthenes-style pass.  Within each SEGMENT the primes up
 to SMALL_P, which hit most of the entries, are walked one cache-sized
 BLOCK at a time, so their passes stay in cache; the larger primes walk the
-whole segment.  A window longer than one CHUNK has its two halves sieved
-by two processes at once when two cores are free (_in_two, which the
-moment sums and the discrepancy passes share), into one shared mapping
-(_shared).  Below 2^31 the table's P^- and P^+ and the cofactor left
-after dividing out the sieving primes are int32, above it int64
-(window_dtype); Omega is int8.  P^- starts at its dtype's maximum and is
-lowered by one in-place minimum per prime.
+whole segment.  Each walk (_walk) first lists with numpy the powers of its
+primes that hit its range, so a prime that misses costs no Python step,
+then makes one strided pass per output array over that list, so a hit's
+writes to the four arrays do not compete for the cache.  A window longer
+than one CHUNK has its two halves sieved by two processes at once when two
+cores are free (_in_two, which the moment sums and the discrepancy passes
+share), into one shared mapping (_shared).  Below 2^31 the table's P^-
+and P^+ and the cofactor left after dividing out the sieving primes are
+int32, above it int64 (window_dtype); Omega is int8.  P^+ starts at 0 and
+P^- at its dtype's maximum, and each prime raises one and lowers the
+other by an in-place maximum and minimum, so the order of the primes does
+not matter.
 
 The moment sums read primality through FactorTable.span, the one
 coverage check, one BLOCK of the window at a time; the discrepancy sums
@@ -190,29 +195,100 @@ class FactorTable:
         return slice(lo - self.lo, hi - self.lo)
 
 
-def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
-    """Count, divide out and record each prime's powers on [lo, hi), primes in increasing order.
+def _inverses(p: np.ndarray, dtype) -> np.ndarray:
+    """Each odd p's inverse mod 2^32 or 2^64 (dtype's width), as dtype's signed value of it.
 
-    The entries at stride q = p^e are multiples of p^e with p^(e-1) divided
-    out, so the division by p is exact: a shift for p = 2, else a multiply by
-    p's inverse mod 2^32 or 2^64 (rem's width) that wraps to the quotient,
-    several times cheaper than numpy's strided floor division.
+    Newton's step x -> x (2 - p x) doubles the correct low bits, and x = p
+    starts right to 3 bits (p^2 = 1 mod 8), so five steps reach 96.
     """
-    bits = 8 * rem.itemsize
-    for p in map(int, primes):
-        inv = pow(p, -1, 1 << bits) if p > 2 else 0  # taken into rem's signed range below
-        div, by = (np.right_shift, 1) if p == 2 else (np.multiply, inv - (inv >> (bits - 1) << bits))
-        q = p
-        while (start := -(-lo // q) * q) < hi:
-            s = start - lo
-            omega[s::q] += 1
-            sub = rem[s::q]
-            div(sub, by, out=sub)
-            if q == p:
-                pmax[s::q] = p
-                sub = pmin[s::q]
-                np.minimum(sub, p, out=sub)
-            q *= p
+    u = p.view(np.uint64)
+    x, t = u.copy(), np.empty_like(u)
+    for _ in range(5):
+        np.multiply(u, x, out=t)
+        np.subtract(2, t, out=t)
+        x *= t
+    width = np.dtype(dtype).itemsize
+    return x.astype(f"u{width}").view(f"i{width}")
+
+
+def _hits(lo: int, hi: int, primes: np.ndarray, dtype) -> list[tuple[np.ndarray, ...]]:
+    """The powers q = p^e of the primes that hit [lo, hi), one level per e: (starts, q, p, p's inverse).
+
+    The starts are (-lo) % q over the int64 primes, kept where they fall
+    below hi - lo.  A power that misses [lo, hi) misses all the higher ones,
+    so the next level q p is taken only from the hits, and only where
+    q <= (hi - 1) // p, so nothing passes 2^63.  Only the primes that hit
+    take an inverse (_inverses, in dtype).
+    """
+    size = hi - lo
+    s = np.remainder(-lo, primes)
+    hit = s < size
+    s = s[hit]
+    p = q = primes[hit]
+    inv = _inverses(p, dtype)
+    levels = []
+    while p.size:
+        levels.append((s, q, p, inv))
+        more = q <= (hi - 1) // p
+        p, inv = p[more], inv[more]
+        q = q[more] * p
+        s = np.remainder(-lo, q)
+        hit = s < size
+        p, q, s, inv = p[hit], q[hit], s[hit], inv[hit]
+    return levels
+
+
+def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
+    """Count, divide out and record the primes' powers on [lo, hi), a piece of the primes at a time.
+
+    Each piece lists its hits with numpy (_hits), then each output array
+    takes one strided pass over them (_passes).  A piece's hit list holds
+    24 bytes per prime and 32 per higher power that hits, and at most 66
+    more per power while it lists the next level: under 256 bytes per prime
+    besides its array headers, unless most primes hit seven levels, as only
+    a few of the block walk's primes <= SMALL_P do.  So a piece of
+    max(hi - lo, sqrt(hi)) / 512 primes holds under half the larger of two
+    buffers that table_nbytes charges and the walk does not hold: the
+    segment's bool mask (hi - lo bytes) and the bool sieve that found the
+    primes (sqrt(hi) bytes).  Half, because a forked child may walk its own
+    piece at the same time.
+    """
+    piece = max(hi - lo, math.isqrt(hi - 1)) // 512 + 1
+    for i in range(0, len(primes), piece):
+        _passes(_hits(lo, hi, primes[i : i + piece], rem.dtype), rem, pmin, pmax, omega)
+
+
+def _passes(levels, rem, pmin, pmax, omega) -> None:
+    """One strided pass per output array over the hits that _hits lists.
+
+    A hit's four writes land on four arrays, so one array at a time keeps
+    the passes from fighting over the cache: Omega, then the residual
+    divisions, then the P^+ maxima, then the P^- minima (an in-place ufunc
+    is cheaper than numpy's strided store of a scalar).  The entries at
+    stride q are multiples of q, so each division by p is exact and the
+    divisions commute: a shift for p = 2, else a multiply by p's inverse
+    mod 2^32 or 2^64 (rem's width) that wraps to the quotient, several
+    times cheaper than numpy's strided floor division.
+    """
+    for s, q, _, _ in levels:
+        for a, b in zip(s, q):
+            sub = omega[a::b]
+            np.add(sub, 1, out=sub)
+    for s, q, p, inv in levels:
+        for a, b, c, by in zip(s, q, p, inv):
+            sub = rem[a::b]
+            if c == 2:
+                np.right_shift(sub, 1, out=sub)
+            else:
+                np.multiply(sub, by, out=sub)
+    if levels:  # p in the table's dtype: an int64 scalar would run the int32 ufuncs in int64
+        s, p = levels[0][0], levels[0][2].astype(pmin.dtype)
+        for a, c in zip(s, p):
+            sub = pmax[a::c]
+            np.maximum(sub, c, out=sub)
+        for a, c in zip(s, p):
+            sub = pmin[a::c]
+            np.minimum(sub, c, out=sub)
 
 
 def window_dtype(hi: int):
@@ -221,7 +297,11 @@ def window_dtype(hi: int):
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
-    """Fill factor stats for [lo, hi) in place: small primes block by block, then the rest."""
+    """Fill factor stats for [lo, hi) in place: small primes block by block, then the rest.
+
+    Both are _walk, which lists its hits before it writes, so the primes
+    > SMALL_P that miss the segment cost one element of a numpy remainder.
+    """
     rem = np.arange(lo, hi, dtype=pmin.dtype)
     unset = np.iinfo(pmin.dtype).max
     pmin.fill(unset)
@@ -229,8 +309,6 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
     for a in range(0, hi - lo, BLOCK):
         b = min(a + BLOCK, hi - lo)
         _walk(lo + a, lo + b, primes[:small], rem[a:b], pmin[a:b], pmax[a:b], omega[a:b])
-    # every entry still sees its primes in increasing order, so the last
-    # pmax write is its largest prime <= sqrt(hi)
     _walk(lo, hi, primes[small:], rem, pmin, pmax, omega)
     # Residual cofactors: after removing all prime factors <= sqrt(hi),
     # what remains is either 1 or a single prime > sqrt(hi).  That prime

@@ -72,6 +72,15 @@ def test_classify_prime(capsys):
     assert doc["results"]["threshold"] == 0.0
 
 
+def test_classify_high_up(capsys):
+    # 2^50 - 3 = 59 * 176329 * 108224111: the walk sieves by the 2,063,689
+    # primes up to 2^25, of which only 59 and 176329 hit the one integer
+    n = 2**50 - 3
+    res = run_json(capsys, "classify", "--n", str(n))["results"]
+    assert (res["n"], res["omega"], res["is_prime"]) == (n, 3, 0)
+    assert res["threshold"] == 0.7795891719468148 == 1 - math.log(59) / math.log(108224111)
+
+
 def test_classify_builds_only_the_integer_it_reads(capsys, monkeypatch):
     windows = []
     build = cli.build_factor_table

@@ -277,6 +277,72 @@ def test_exact_division_walk_equals_floor_division(monkeypatch, lo, hi):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _interleaved_walk(lo, hi, primes, rem, pmin, pmax, omega):
+    """Reference walk: each prime in turn, each of its powers writing all four arrays."""
+    bits = 8 * rem.itemsize
+    for p in map(int, primes):
+        inv = pow(p, -1, 1 << bits) if p > 2 else 0
+        div, by = (np.right_shift, 1) if p == 2 else (np.multiply, inv - (inv >> (bits - 1) << bits))
+        q = p
+        while (start := -(-lo // q) * q) < hi:
+            s = start - lo
+            omega[s::q] += 1
+            sub = rem[s::q]
+            div(sub, by, out=sub)
+            if q == p:
+                pmax[s::q] = p
+                sub = pmin[s::q]
+                np.minimum(sub, p, out=sub)
+            q *= p
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 2**16),  # sqrt(hi) < SMALL_P: only the block walk runs
+    (2, 10**5),
+    (10**7, 10**7 + 300_009),
+    (10**6, 10**6 + SEGMENT + 100_000),  # cut into two segments
+    (2**31 - 200_000, 2**31 + 100_000),  # int64 residues
+    (10**12, 10**12 + 100_000),
+    (2**50 - 3, 2**50 - 2),  # 59 * 176329 * 108224111: 2,063,689 sieving primes, two hit
+    (1_000_003**2, 1_000_003**2 + 1),  # a prime's square
+    (2_097_169**2, 2_097_169**2 + 1),  # the least prime above 2^21 squared: its cube passes 2^63
+    (999_999_999_989, 999_999_999_990),  # a prime
+])
+def test_listed_walk_equals_interleaved_walk(monkeypatch, lo, hi):
+    # the walk lists its hits with numpy and makes one pass per array; the
+    # reference takes each prime's powers one at a time across all four
+    t = build_factor_table(lo, hi)
+    monkeypatch.setattr(sieve, "_walk", _interleaved_walk)
+    ref = build_factor_table(lo, hi)
+    assert _table_bytes(t) == _table_bytes(ref)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (10**7, 10**7 + 2**17),
+    (2_097_169**2, 2_097_169**2 + 1),  # p^3 passes 2^63: the levels stop at p^2
+    (2**50 - 3, 2**50 + 1000),
+])
+def test_hits_list_exactly_the_powers_that_hit(lo, hi):
+    primes = primes_up_to(math.isqrt(hi - 1))
+    want = []
+    for p in map(int, primes):
+        q = p
+        while q < hi and (-lo) % q < hi - lo:
+            want.append(((-lo) % q, q, p))
+            q *= p
+    levels = sieve._hits(lo, hi, primes, sieve.window_dtype(hi))
+    got = [(s, q, p) for level in levels for s, q, p in zip(*(a.tolist() for a in level[:3]))]
+    assert sorted(got) == sorted(want)
+
+
+def test_inverses_undo_multiplication():
+    p = primes_up_to(10**5)[1:]
+    for dtype in (np.int32, np.int64):
+        inv = sieve._inverses(p, dtype)
+        assert inv.dtype == dtype
+        assert (p.astype(dtype) * inv == 1).all()
+
+
 def _square_or_raise_at(bad):
     def job(x):
         if x == bad:

@@ -321,6 +321,14 @@ def test_lemma1_matches_exact_pair_sum(table_win_1e7, N, offsets, l, R):
     assert math.isclose(rep.empirical, lemma1_pair_sum(N, offsets, l, R), rel_tol=1e-12)
 
 
+def test_lemma1_pair_sum_pin_at_1e9():
+    # the oracle at a scale no window test reaches; the window kernel's
+    # moment_lemma1(10**9, ...) gave 156496194456.956 over [1e9, 2e9) in 12 s
+    got = lemma1_pair_sum(10**9, (0, 2, 6), 1, 177)
+    assert math.isclose(got, 156496194456.95605, rel_tol=1e-15)
+    assert math.isclose(got, 156496194456.956, rel_tol=1e-14)
+
+
 def test_lemma1_degenerate_inadmissible(table_win_1e4):
     cfg = WeightConfig(H=AdmissibleTuple((0, 1)), l=0, R=10.0)
     rep = moment_lemma1(10**4, cfg, table_win_1e4)
