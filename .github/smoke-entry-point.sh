@@ -46,7 +46,7 @@ primegaps count-star --n-window 2000000 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 31594)'
 primegaps count-star --n-window 1000000000 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 12236041)'
-# a moment window of one chunk over half a chunk: its two halves filled by two processes
+# a moment window of one chunk over half a chunk: its two halves summed by two processes
 primegaps moments --variant lemma1 --n-window 1000000 --k 6 --l 1 --big-r 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4436868106.718203)'
 # Lemma 1 over three chunks, the first in a forked child when two cores are free
@@ -55,7 +55,12 @@ primegaps moments --variant lemma1 --n-window 3000000 --k 3 --l 1 --big-r 41 \
 # Lemma 1 reads no table: 96 chunks of weights at N = 1e8, with no 0.9 GB factor table
 primegaps moments --variant lemma1 --n-window 100000000 --k 3 --l 1 --big-r 100 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 8121108896.625306)'
-# Lemma 2 over one chunk filled in two halves
+# one chunk cut in two halves short of an odd N // 2, where numpy's pairwise sum splits the whole window
+primegaps moments --variant lemma1 --n-window 700007 --k 3 --l 1 --big-r 28.9 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 8560873.0777957)'
+primegaps s-stat --n-window 1000003 --k 3 --l 1 --big-r 31.6 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["empirical"], r["multi_hit_count"]) != (-7902653.613761015, 36133))'
+# Lemma 2 over one chunk cut in two halves
 primegaps moments --variant lemma2 --h 2 --n-window 1000000 --k 3 --l 1 --big-r 31.6 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 1765303.8328963881)'
 # three chunks with their star rows, the first in a forked child when two cores are free

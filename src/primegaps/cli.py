@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import BLOCK, build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes
+from .sieve import build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes
 
 ARTIFACT_VERSION = __version__
 
@@ -286,16 +286,9 @@ def cmd_bv_star(args):
 def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
-    # the primes <= N, a bool sieve kept as int64 primes (primes_nbytes); g's
-    # N + 1 floats, which every per-q pass reads in place; f with, while g is
-    # scattered, the m with f(m) != 0 and where their pairs start and end, and
-    # later the main terms: at most 32 B per m; the temporaries of one
-    # sieve.BLOCK of (m, p) pairs, of Li over one BLOCK of m, or of the
-    # running sum of a q = 1 pass: at most 80 B per element; in each of the
-    # two processes, the class totals of one top and the temporaries of its
-    # rows and of its half's: at most 56 B per q; and mu's prime sieve
+    # equidist's buffers, then f's 8 B per m and mu's prime sieve
     mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
-    check_fits(primes_nbytes(N) + mobius_sieve + 8 * (N + 1) + 32 * m_max + 80 * BLOCK + 112 * args.q_max)
+    check_fits(equidist.weighted_nbytes(N, m_max, args.q_max) + 8 * m_max + mobius_sieve)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

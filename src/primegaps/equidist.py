@@ -229,6 +229,18 @@ def bv_star_discrepancy(cfg: DiscrepancyConfig, table: FactorTable | None = None
                         c0v * li_n, c0v * li_window)
 
 
+def weighted_nbytes(N: int, m_max: int, q_max: int) -> int:
+    """Bytes held by weighted_discrepancy besides f, for m_max = N^(1 - alpha) coefficients.
+
+    The primes <= N (primes_nbytes); g's N + 1 floats; the scatter's per-m
+    lists, later the main terms: 24 B per m; the temporaries of one
+    sieve.BLOCK of (m, p) pairs, of Li over one BLOCK of m, or of a q = 1
+    running sum: 80 B per element; and in each of two processes, the class
+    totals of one top and the temporaries of its rows: 56 B per q.
+    """
+    return sieve.primes_nbytes(N) + 8 * (N + 1) + 24 * m_max + 80 * sieve.BLOCK + 112 * q_max
+
+
 def weighted_discrepancy(
     cfg: DiscrepancyConfig, alpha: float, f: np.ndarray, table: FactorTable | None = None
 ) -> DiscrepancyReport:

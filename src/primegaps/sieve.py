@@ -12,16 +12,16 @@ then makes one strided pass per output array over that list, so a hit's
 writes to the four arrays do not compete for the cache.  A window longer
 than one CHUNK has its two halves sieved by two processes at once when two
 cores are free (_in_two, which the moment sums and the discrepancy passes
-share), into one shared mapping (_shared).  Below 2^31 the table's P^-
-and P^+ and the cofactor left after dividing out the sieving primes are
-int32, above it int64 (window_dtype); Omega is int8.  P^+ starts at 0 and
-P^- at its dtype's maximum, and each prime raises one and lowers the
-other by an in-place maximum and minimum, so the order of the primes does
-not matter.
+share), into one shared mapping.  Below 2^31 the table's P^- and P^+
+and the cofactor left after dividing out the sieving primes are int32,
+above it int64 (window_dtype); Omega is int8.  P^+ starts at 0 and P^- at
+its dtype's maximum, and each prime raises one and lowers the other by an
+in-place maximum and minimum, so the order of the primes does not matter.
 
 The moment sums read primality through FactorTable.span, the one
-coverage check, one BLOCK of the window at a time; the discrepancy sums
-and the balanced and star sets are listed from primes_up_to alone.
+coverage check, once per piece of the window, into the target mask that
+weights._moment builds for that piece; the discrepancy sums and the
+balanced and star sets are listed from primes_up_to alone.
 Tables and prime sieves too large for physical memory are refused before
 allocating.
 
@@ -326,20 +326,6 @@ def _segments(size: int) -> int:
     return 1 if size <= CHUNK else 2 * -(-size // (2 * SEGMENT))
 
 
-def _shared(size: int, *dtypes) -> list[np.ndarray]:
-    """Zero-filled arrays of size elements, one per dtype, in one anonymous shared mapping.
-
-    A child forked by _in_two writes into the caller's arrays through it.
-    """
-    dtypes = [np.dtype(d) for d in dtypes]
-    mapping = mmap.mmap(-1, size * sum(d.itemsize for d in dtypes))
-    out, offset = [], 0
-    for d in dtypes:
-        out.append(np.frombuffer(mapping, d, size, offset))
-        offset += d.itemsize * size
-    return out
-
-
 def table_nbytes(lo: int, hi: int) -> int:
     """Bytes held by build_factor_table(lo, hi), with 64 KiB for its array headers and ufunc buffers."""
     width = np.dtype(window_dtype(hi)).itemsize
@@ -360,8 +346,8 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     own arrays.  A longer one is cut into the fewest even number of equal
     segments of at most SEGMENT, and its two halves are sieved by two
     processes at once when two cores are free (_in_two): the outputs then
-    lie in one anonymous shared mapping (_shared), so that the child
-    writes the caller's table.
+    lie in one anonymous shared mapping, so that the child writes the
+    caller's table.
     Each process holds the scratch of one segment: the residual cofactors
     (window_dtype too) and one bool mask, at most 20 MiB below 2^31 and
     36 MiB above.  The build is refused before allocating when hi exceeds
@@ -382,8 +368,10 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     primes = primes_up_to(math.isqrt(hi - 1))
     dtype = np.dtype(window_dtype(hi))
     n = _segments(size)
-    if n > 1:  # zero-filled, like np.zeros
-        pmin, pmax, omega = _shared(size, dtype, dtype, np.int8)
+    if n > 1:  # one zero-filled anonymous shared mapping, which a child forked by _in_two writes through
+        mapping = mmap.mmap(-1, size * (2 * dtype.itemsize + 1))
+        pmin, pmax = (np.frombuffer(mapping, dtype, size, i * size * dtype.itemsize) for i in (0, 1))
+        omega = np.frombuffer(mapping, np.int8, size, 2 * size * dtype.itemsize)
     else:  # numpy's arrays, which many small tables built in turn reuse from the heap
         pmin, pmax, omega = np.empty(size, dtype), np.zeros(size, dtype), np.zeros(size, np.int8)
     cuts = [size * i // n for i in range(n + 1)]

@@ -10,21 +10,19 @@ squarefree divisors depth-first, and a batch route that plans the
 squarefree d <= R with their values and residue classes (one depth-first
 walk, one CRT step per appended prime) once, then adds each d's value
 to its classes in a buffer starting at any lo.  The four moment sums run
-through one function (_moment) and one chunk kernel (_moment_sums); they
-differ only in the factor that multiplies w^2.  The kernel fills one
-sieve.CHUNK of [N, 2N) at a time from the plan, the first half of the
-chunks in a forked child when two cores are free, writes the summand into
-that chunk's weights in place, one sieve.BLOCK at a time with the float
-operations of the plain expression in its order, and passes the chunk sums
-to math.fsum in chunk order, so the sums hold no N-sized array and keep
-their bits.  Lemma 1 is its case with no indicator, w^2 alone, and reads
-no table.  Lemmas 2 and 3 and S count the shifts h with n + h prime or a
-star member, and weigh w^2 by that count, or for S by the count minus
-one; primality is read from the factor table of [N, 2N + max H), which a
-caller may pass and which _moment builds otherwise.  The star set is
-listed from its primes once per sum, before the fork, and each chunk's
-job scatters its own rows.  A window of one chunk longer than half a
-chunk is filled in two halves the same way, in one shared mapping.
+through one function (_moment) and one kernel (_moment_sums); they differ
+only in the factor that multiplies w^2.  The kernel cuts [N, 2N) into
+pieces of one sieve.CHUNK (a one-chunk window longer than half a chunk in
+two halves, cut where numpy's pairwise sum splits it), the first half of
+them in a forked child when two cores are free; each process fills its
+own buffer from the plan and writes the summand into it in place, one
+sieve.BLOCK at a time with the float operations of the plain expression in
+their order, and the piece sums go to math.fsum in order, so the sums hold
+no N-sized array and keep their bits.  Lemma 1 reads no indicator.  Lemmas
+2 and 3 and S weigh w^2 by the count of shifts h with n + h a target, or
+for S by that count minus one.  _moment decides the targets, one mask per
+piece: Omega 1 in the factor table of [N, 2N + max H) (passed by a caller
+or built), with the star members, listed once per sum before the fork.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -270,44 +268,42 @@ def _checked_star(N: int, spec: balanced.StarSetSpec, cfg: WeightConfig) -> tupl
     return balanced._listed(primes, stop, spec.r, N)
 
 
-def _moment_sums(
-    N: int, plan, table: FactorTable, shifts: tuple[int, ...], star: tuple | None, minus_one: bool
-) -> tuple[float, int]:
+def _moment_sums(N: int, plan, targets, shifts: tuple[int, ...], minus_one: bool) -> tuple[float, int]:
     """fsum over [N, 2N) of w^2 (with shifts, w^2 hits; with minus_one, w^2 (hits - 1)), and #{n : hits(n) >= 2}.
 
-    hits(n) counts the h in shifts with n + h prime (Omega 1 in the table,
-    with no window restriction, so the widened count dominates the plain
-    one pointwise) or a member of star (from _checked_star; in [N, 2N)),
-    in the smallest type that holds len(shifts).  Each sieve.CHUNK of
-    weights is filled in one buffer, and its summand is written into it one
-    sieve.BLOCK at a time, as w * w, w * w * hits or w * ((hits - 1) * w)
-    round it; the chunk sums go to math.fsum in chunk order.
-
-    The chunks are shared between two processes (sieve._in_two); each fills
-    its own chunk buffer, allocated at its first chunk, after the fork.  A
-    window of one chunk longer than CHUNK // 2 has its two halves filled by
-    two processes in one shared mapping, and the caller sums the whole of
-    it; _fill gives each element the same additions wherever its range
-    starts, so the weights and the sum keep their bits.
+    hits(n) counts the h in shifts with n + h in targets(lo, hi), a bool
+    mask over [lo, hi) (None: no indicator), in the smallest type that holds
+    len(shifts).  The pieces, one sieve.CHUNK each, are shared between two
+    processes (sieve._in_two), each filling its own buffer.  A piece calls
+    targets once, over [N + a, N + b + max shifts), and writes its summand
+    into its weights one sieve.BLOCK at a time, as w * w, w * w * hits or
+    w * ((hits - 1) * w); the piece sums go to math.fsum in order.  A window
+    of one chunk longer than CHUNK // 2 is cut at N // 2 - (N // 2) % 8,
+    where numpy's pairwise sum splits a contiguous float64 array, so its
+    halves' sums add to the whole window's bit for bit.
     """
     dtype = np.min_scalar_type(len(shifts))
+    cuts = [0, N // 2 - N // 2 % 8, N] if sieve.CHUNK // 2 < N <= sieve.CHUNK else [*range(0, N, sieve.CHUNK), N]
+    pieces = list(zip(cuts, cuts[1:]))
+    size, buf = max(b - a for a, b in pieces), None
 
-    def term(w, a, b):
-        rows = None if star is None else balanced._rows(*star, N + a, N + min(b + max(shifts), N))
+    def piece(cut: tuple[int, int]) -> tuple[float, int]:
+        nonlocal buf
+        a, b = cut
+        if buf is None:
+            buf = np.empty(size, dtype=np.float64)
+        w = buf[: b - a]
+        _fill(plan, w, N + a)
+        mask = None if targets is None else targets(N + a, N + b + max(shifts))
         multi = 0
         for c in range(0, b - a, sieve.BLOCK):
             x = w[c : c + sieve.BLOCK]
-            if not shifts:
+            if mask is None:
                 x *= x
                 continue
             hits = np.zeros(len(x), dtype=dtype)
             for h in shifts:
-                lo = N + h + a + c
-                hit = table.omega[table.span(lo, lo + len(x))] == 1
-                if rows is not None:
-                    member = rows[c + h : c + h + len(x)]
-                    hit[: len(member)] |= member
-                hits += hit
+                hits += mask[c + h : c + h + len(x)]
             if minus_one:
                 y = np.subtract(hits, 1.0, dtype=np.float64)
                 y *= x
@@ -318,24 +314,7 @@ def _moment_sums(
                 x *= hits
         return float(w.sum()), multi
 
-    if sieve.CHUNK // 2 < N <= sieve.CHUNK:
-        (w,) = sieve._shared(N, np.float64)
-        cuts = (0, N // 2, N)
-        sieve._in_two(lambda i: _fill(plan, w[cuts[i] : cuts[i + 1]], N + cuts[i]), (0, 1))
-        sums = [term(w, 0, N)]
-    else:
-        buf = None
-
-        def chunk(a: int):
-            nonlocal buf
-            if buf is None:
-                buf = np.empty(min(sieve.CHUNK, N), dtype=np.float64)
-            b = min(a + sieve.CHUNK, N)
-            w = buf[: b - a]
-            _fill(plan, w, N + a)
-            return term(w, a, b)
-
-        sums = sieve._in_two(chunk, range(0, N, sieve.CHUNK))
+    sums = sieve._in_two(piece, pieces)
     return math.fsum(s for s, _ in sums), sum(m for _, m in sums)
 
 
@@ -352,7 +331,11 @@ def _moment(
     arguments are checked, a table passed in must cover [N, 2N + max H),
     the weights are planned (refusing an R past the divisor budget), and a
     sum that reads primality (all but Lemma 1) is given that window's
-    factor table when none was passed (refused if it would not fit).
+    factor table when none was passed (refused if it would not fit).  The
+    kernel reads its targets through one mask per piece: Omega 1 in the
+    table over the piece's shifted range (with no window restriction, so
+    the widened count dominates the plain one pointwise), with the star
+    members below 2N (from _checked_star) OR'd in.
     """
     if h is not None and h not in cfg.H.offsets:
         raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
@@ -385,7 +368,15 @@ def _moment(
     minus_one = variant == S_STATISTIC
     shifts = cfg.H.offsets if minus_one else () if h is None else (h,)
     star = None if spec is None else _checked_star(N, spec, cfg)
-    empirical, multi = _moment_sums(N, plan, table, shifts, star, minus_one)
+
+    def targets(lo: int, hi: int) -> np.ndarray:
+        hit = table.omega[table.span(lo, hi)] == 1
+        if star is not None:
+            top = min(hi, 2 * N)
+            hit[: top - lo] |= balanced._rows(*star, lo, top)
+        return hit
+
+    empirical, multi = _moment_sums(N, plan, targets if reads_primes else None, shifts, minus_one)
     s_h = _series_value(cfg.H)
     extra = {} if h is None else {"h": h}
     if spec is not None:

@@ -501,8 +501,8 @@ def _moment_calls(N, cfg, spec, table=None):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("N", [10**4, 7 * 10**5, 3 * sieve.CHUNK + 5])
 def test_moments_without_a_table_equal_those_with_one(N):
-    # 7e5 is one chunk filled in two halves, 3 CHUNK + 5 four chunks shared
-    # with a forked child; repr tells every float apart by its bits
+    # 7e5 is one chunk cut in two halves, 3 CHUNK + 5 four chunks, each
+    # shared with a forked child; repr tells every float apart by its bits
     cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     want = _moment_calls(N, cfg, spec, build_factor_table(N, 2 * N + 6))
@@ -531,7 +531,7 @@ def test_moment_sums_build_only_the_table_they_read(monkeypatch):
 @pytest.mark.parametrize("R", [10.0, 300.0])
 def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypatch, chunk, R):
     # 1000 splits [N, 2N) into 10 whole chunks, 999 leaves a ragged last
-    # one, and 15000 makes one chunk longer than CHUNK // 2, filled in two
+    # one, and 15000 makes one chunk longer than CHUNK // 2, cut in two
     # halves; the shifts n + h and the star slice cross every chunk end, and
     # R = 300 adds moduli above sieve.SMALL_P.  Reference: fsum of the sums
     # of the same slices of each full-width expression.
@@ -587,9 +587,9 @@ def test_moments_of_several_chunks_equal_a_serial_sum_of_chunk_sums():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_one_chunk_moments_equal_on_one_core(monkeypatch):
-    # N = 1e6 is one chunk longer than CHUNK // 2: its two halves are filled
+    # N = 1e6 is one chunk longer than CHUNK // 2: its two halves are summed
     # by two processes when two cores are free, and by the caller alone on
-    # one; both give the sum of the vector that one fill writes
+    # one; both give the sum of the whole vector that one fill writes
     N = 10**6
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     k3 = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.5)
@@ -609,6 +609,61 @@ def test_one_chunk_moments_equal_on_one_core(monkeypatch):
     assert both[0].empirical == math.fsum([float((w * w).sum())])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert run() == both
+
+
+def test_numpy_pairwise_sum_splits_at_the_half_cut():
+    # _moment_sums sums a one-chunk window longer than CHUNK // 2 as two
+    # halves cut at h = n // 2 - (n // 2) % 8, which is bit-identical to the
+    # whole window's sum only while numpy's pairwise summation of a
+    # contiguous float64 array splits it there; a plain n // 2 cut is not
+    rng = np.random.default_rng(28)
+    moved = 0
+    for n in (2**19 + 1, 2**19 + 3, 600_005, 700_007, 1_000_003, 2**20 - 1, 2**20):
+        w = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+        h = n // 2 - n // 2 % 8
+        assert float(w.sum()) == float(w[:h].sum()) + float(w[h:].sum()), (
+            f"numpy's pairwise summation no longer splits a float64 array of {n} at {h}")
+        moved += float(w.sum()) != float(w[: n // 2].sum()) + float(w[n // 2 :].sum())
+    assert moved
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("N, R", [(700_007, 28.9), (1_000_003, 31.6), (2**19 + 3, 26.9)])
+def test_one_chunk_halves_sum_to_the_whole_window(N, R):
+    # each N has an odd N // 2, so the halves are cut short of it; cut at
+    # N // 2, Lemma 1 at N = 700007 and S at N = 1000003 change in the last
+    # bit.  Reference: the sum of each full-width expression over [N, 2N)
+    cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=R)
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    t = build_factor_table(N, 2 * N + 6)
+    w = lambda_r_batch(N, 2 * N, cfg, t)
+    smask = star_mask(spec, t)
+    wide = {h: wide_reference(N, h, t, smask) for h in cfg.H.offsets}
+    hits = sum(wide.values())
+    assert moment_lemma1(N, cfg, t).empirical == float((w * w).sum())
+    assert moment_lemma2(N, cfg, 2, t).empirical == float((w * w * (t.omega[2 : 2 + N] == 1)).sum())
+    assert moment_lemma3(N, cfg, 6, spec, t).empirical == float((w * w * wide[6]).sum())
+    rep = s_statistic(N, cfg, spec, t)
+    assert rep.empirical == float(((hits - 1.0) * w * w).sum())
+    assert rep.extra["multi_hit_count"] == int((hits >= 2).sum()) > 0
+
+
+def test_each_piece_reads_one_target_mask(moment_setup, monkeypatch):
+    # one core, so every piece runs in the caller: at CHUNK = 1000 the ten
+    # pieces each read [N + a, N + a + 1000 + max shift) once, after the
+    # coverage check of the passed table; Lemma 1 reads no targets
+    N, cfg, t = moment_setup
+    spec = StarSetSpec(N=N, r=2, eps=0.3)
+    spans, span = [], sieve.FactorTable.span
+    monkeypatch.setattr(sieve.FactorTable, "span", lambda self, lo, hi: spans.append((lo, hi)) or span(self, lo, hi))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(sieve, "CHUNK", 1000)
+    for call, top in ((lambda: moment_lemma1(N, cfg, t), None), (lambda: moment_lemma2(N, cfg, 2, t), 2),
+                      (lambda: moment_lemma3(N, cfg, 2, spec, t), 2), (lambda: s_statistic(N, cfg, spec, t), 6)):
+        spans.clear()
+        call()
+        pieces = [] if top is None else [(N + a, N + a + 1000 + top) for a in range(0, N, 1000)]
+        assert spans == [(N, 2 * N + 6), *pieces]
 
 
 def _peak_bytes(fn, *args) -> int:
