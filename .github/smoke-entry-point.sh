@@ -33,10 +33,10 @@ primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 # one integer high up: 2^50 - 3 = 59 * 176329 * 108224111, sieved by the primes up to 2^25
 primegaps classify --n 1125899906842621 \
   | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["omega"], r["is_prime"], r["threshold"]) != (3, 0, 0.7795891719468148))'
-# a table longer than one 2^22 segment: two segments, sieved by two processes when two cores are free
+# Lemma 2 over five chunks, each sieving the primes of its piece, shared with a forked child when two cores are free
 primegaps moments --variant lemma2 --h 2 --n-window 5000000 --k 3 --l 1 --big-r 37 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 10853347.104558202)'
-# a table over one 2^20 chunk and under one segment: two half-size segments, one per process
+# Lemma 2 over two chunks, one per process, each with the primes of its piece and no factor table
 primegaps moments --variant lemma2 --h 2 --n-window 2000000 --k 3 --l 1 --big-r 37 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 4607824.207508879)'
 # star counts come from the primes of I alone and build no table
@@ -66,10 +66,16 @@ primegaps moments --variant lemma2 --h 2 --n-window 1000000 --k 3 --l 1 --big-r 
 # three chunks with their star rows, the first in a forked child when two cores are free
 primegaps s-stat --n-window 3000000 --k 3 --l 1 --big-r 41 --r 2 --eps 0.3 \
   | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["empirical"], r["multi_hit_count"]) != (-37671227.59612439, 94686))'
+# S over 96 chunks at N = 1e8, each sieving the primes of its piece, with no 0.9 GB factor table
+primegaps s-stat --n-window 100000000 --k 3 --l 1 --big-r 100 --r 2 --eps 0.3 \
+  | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["empirical"], r["multi_hit_count"]) != (-4516277298.196325, 2172658))'
 primegaps moments --variant lemma3 --h 2 --n-window 3000000 --k 3 --l 1 --big-r 41 --r 2 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 10127752.214837193)'
 primegaps count-star --n-window 3000000 --r 3 --eps 0.3 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["count"] != 4876)'
+# the primes <= 2e7 sieved in five 2^22-integer segments and joined in order
+primegaps bv --n-window 20000000 --q-max 10 \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 2358.6260517119663)'
 # 500 passes over the 78498 primes <= 1e6, shared with a forked child when two cores are free
 primegaps bv --n-window 1000000 --q-max 1000 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 27509.77015393265)'

@@ -286,8 +286,8 @@ def cmd_bv_star(args):
 def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
-    # equidist's buffers, then f's 8 B per m and mu's prime sieve
-    mobius_sieve = primes_nbytes(m_max) if args.f == "mobius" else 0
+    # equidist's buffers, then f's 8 B per m and mu's prime sieve and int8 array
+    mobius_sieve = primes_nbytes(m_max) + m_max + 1 if args.f == "mobius" else 0
     check_fits(equidist.weighted_nbytes(N, m_max, args.q_max) + 8 * m_max + mobius_sieve)
     if args.f == "const1":
         f = np.ones(m_max)

@@ -1,29 +1,17 @@
-"""Segmented smallest-prime-factor sieve over a window, plus factorization, mu and Li.
+"""Segmented prime and factor sieves over a window, plus factorization, mu and Li.
 
-The FactorTable is the factorization backbone for the whole package: it
-stores, for every integer in [lo, hi), its least prime factor, greatest
-prime factor and number of prime factors counted with multiplicity, built
-by a segmented Eratosthenes-style pass.  Within each SEGMENT the primes up
-to SMALL_P, which hit most of the entries, are walked one cache-sized
-BLOCK at a time, so their passes stay in cache; the larger primes walk the
-whole segment.  Each walk (_walk) first lists with numpy the powers of its
-primes that hit its range, so a prime that misses costs no Python step,
-then makes one strided pass per output array over that list, so a hit's
-writes to the four arrays do not compete for the cache.  A window longer
-than one CHUNK has its two halves sieved by two processes at once when two
-cores are free (_in_two, which the moment sums and the discrepancy passes
-share), into one shared mapping.  Below 2^31 the table's P^- and P^+
-and the cofactor left after dividing out the sieving primes are int32,
-above it int64 (window_dtype); Omega is int8.  P^+ starts at 0 and P^- at
+prime_window(lo, hi) is the one primality kernel: a bool mask of [lo, hi)
+in which each prime <= sqrt(hi - 1) strikes its multiples from its square
+on (Bays & Hudson, BIT 17 (1977)).  primes_up_to lists it one SEGMENT at a
+time for the discrepancy sums and the balanced and star sets, and the
+moment sums sieve each piece with it.  Tables and prime sieves too large
+for physical memory are refused before allocating.
+
+The FactorTable, which classify builds, stores for every integer in
+[lo, hi) its least and greatest prime factors and Omega, sieved one
+segment at a time (build_factor_table, _walk).  P^+ starts at 0 and P^- at
 its dtype's maximum, and each prime raises one and lowers the other by an
 in-place maximum and minimum, so the order of the primes does not matter.
-
-The moment sums read primality through FactorTable.span, the one
-coverage check, once per piece of the window, into the target mask that
-weights._moment builds for that piece; the discrepancy sums and the
-balanced and star sets are listed from primes_up_to alone.
-Tables and prime sieves too large for physical memory are refused before
-allocating.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
@@ -107,21 +95,33 @@ def check_fits(nbytes: int) -> None:
 
 
 def primes_nbytes(n: int) -> int:
-    """Bytes of primes_up_to(n): its bool sieve and pi(n) < 1.25506 n / ln n int64 primes."""
-    return n + 1 + 8 * (int(1.25506 * n / math.log(n)) + 1) if n >= 2 else 0
+    """Bytes of primes_up_to(n): a SEGMENT's mask, the primes <= sqrt(n), its primes (twice past a SEGMENT)."""
+    if n < 2:
+        return 0
+    primes = 8 * (int(1.25506 * n / math.log(n)) + 1)  # pi(n) < 1.25506 n / ln n
+    return min(n + 1, SEGMENT) + primes * (1 if n < SEGMENT else 2) + primes_nbytes(math.isqrt(n))
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Ascending int64 array of all primes <= n (plain boolean sieve), refused before allocating."""
+    """Ascending int64 array of the primes <= n, one SEGMENT of prime_window at a time; refused if too large."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     check_fits(primes_nbytes(n))
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask)
+    pieces = [np.flatnonzero(prime_window(lo, min(lo + SEGMENT, n + 1))) + lo for lo in range(0, n + 1, SEGMENT)]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def prime_window(lo: int, hi: int) -> np.ndarray:
+    """Bool mask of the primes in [lo, hi): each prime p <= sqrt(hi - 1) strikes its multiples from p^2 on."""
+    if lo < 0 or hi <= lo:
+        raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    check_fits(hi - lo + primes_nbytes(math.isqrt(hi - 1)))
+    primes = primes_up_to(math.isqrt(hi - 1))
+    mask = np.ones(hi - lo, dtype=bool)
+    mask[: max(2 - lo, 0)] = False  # 0 and 1
+    for p in map(int, primes):
+        mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -247,11 +247,13 @@ def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
     more per power while it lists the next level: under 256 bytes per prime
     besides its array headers, unless most primes hit seven levels, as only
     a few of the block walk's primes <= SMALL_P do.  So a piece of
-    max(hi - lo, sqrt(hi)) / 512 primes holds under half the larger of two
-    buffers that table_nbytes charges and the walk does not hold: the
-    segment's bool mask (hi - lo bytes) and the bool sieve that found the
-    primes (sqrt(hi) bytes).  Half, because a forked child may walk its own
-    piece at the same time.
+    max(hi - lo, sqrt(hi)) / 512 primes holds under half the segment's bool
+    mask (hi - lo bytes), or under half of what primes_nbytes(sqrt(hi))
+    charges besides the primes the walk reads: sqrt(hi) bytes of mask below
+    2^44, and past it a SEGMENT's mask and the concatenation copy's 8 B per
+    prime, 0.70 sqrt(hi) at 2^50, which still covers the caller's piece.
+    table_nbytes charges both; half, because a forked child may walk its
+    own piece at the same time.
     """
     piece = max(hi - lo, math.isqrt(hi - 1)) // 512 + 1
     for i in range(0, len(primes), piece):
@@ -437,7 +439,8 @@ def mobius(f: Factorization) -> int:
 def mobius_up_to(n: int) -> np.ndarray:
     """mu(m) for m = 1 .. n as float64 (index m - 1), by a sieve over primes_up_to(n).
 
-    The primes come first, so besides its output it holds at most primes_nbytes(n).
+    The primes come first and stay while mu is sieved, so besides its
+    output it holds at most primes_nbytes(n) + n + 1 (mu's int8 array).
     """
     primes = primes_up_to(n)
     mu = np.ones(n + 1, dtype=np.int8)

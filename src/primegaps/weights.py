@@ -21,8 +21,8 @@ their order, and the piece sums go to math.fsum in order, so the sums hold
 no N-sized array and keep their bits.  Lemma 1 reads no indicator.  Lemmas
 2 and 3 and S weigh w^2 by the count of shifts h with n + h a target, or
 for S by that count minus one.  _moment decides the targets, one mask per
-piece: Omega 1 in the factor table of [N, 2N + max H) (passed by a caller
-or built), with the star members, listed once per sum before the fork.
+piece: its primes from sieve.prime_window, with the star members, listed
+once per sum before the fork.
 
 The moment operations compare the empirical sums against the predicted
 main terms: the square sum scales as N (ln R)^(k+2l), the prime-indicator
@@ -329,13 +329,12 @@ def _moment(
     primes or, from spec, the star set), and the hits minus one over every
     shift of H for S.  Before the range warnings, in this order: the
     arguments are checked, a table passed in must cover [N, 2N + max H),
-    the weights are planned (refusing an R past the divisor budget), and a
-    sum that reads primality (all but Lemma 1) is given that window's
-    factor table when none was passed (refused if it would not fit).  The
-    kernel reads its targets through one mask per piece: Omega 1 in the
-    table over the piece's shifted range (with no window restriction, so
-    the widened count dominates the plain one pointwise), with the star
-    members below 2N (from _checked_star) OR'd in.
+    and the weights are planned (refusing an R past the divisor budget).
+    The kernel reads its targets through one mask per piece, over the
+    piece's shifted range (with no window restriction, so the widened
+    count dominates the plain one pointwise): its primes from
+    sieve.prime_window, with the star members below 2N (from
+    _checked_star) OR'd in.  The table is read for nothing else.
     """
     if h is not None and h not in cfg.H.offsets:
         raise ValueError(f"shift h={h} not in tuple {cfg.H.offsets}")
@@ -346,13 +345,10 @@ def _moment(
             raise ValueError(f"spec window base {spec.N} != N={N}")
     if N < 2:  # refused as a table build would refuse it, for Lemma 1 too
         raise ValueError(f"window floor is 2, got lo={N}")
-    hi = 2 * N + max(cfg.H.offsets)
     if table is not None:
-        table.span(N, hi)
+        table.span(N, 2 * N + max(cfg.H.offsets))
     plan = cfg.plan
     reads_primes = variant != LEMMA1
-    if table is None and reads_primes:
-        table = sieve.build_factor_table(N, hi)
     if cfg.R > (N**0.25 if reads_primes else math.sqrt(N)):
         warnings.warn(
             f"R={cfg.R} exceeds the stated range (~N^{'1/4' if reads_primes else '1/2'}); "
@@ -370,7 +366,7 @@ def _moment(
     star = None if spec is None else _checked_star(N, spec, cfg)
 
     def targets(lo: int, hi: int) -> np.ndarray:
-        hit = table.omega[table.span(lo, hi)] == 1
+        hit = sieve.prime_window(lo, hi)
         if star is not None:
             top = min(hi, 2 * N)
             hit[: top - lo] |= balanced._rows(*star, lo, top)
@@ -401,7 +397,7 @@ def moment_lemma1(N: int, cfg: WeightConfig, table: FactorTable | None = None) -
 
 
 def moment_lemma2(N: int, cfg: WeightConfig, h: int, table: FactorTable | None = None) -> MomentReport:
-    """Squared weights against the prime indicator at shift h (from table, built over [N, 2N + max H) if None)."""
+    """Squared weights against the prime indicator at shift h, sieved per piece (table is only range-checked)."""
     return _moment(LEMMA2, N, cfg, table, h=h)
 
 

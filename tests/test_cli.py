@@ -154,17 +154,26 @@ def test_budget_refusal_comes_before_the_range_warning(capsys):
 
 
 def test_moment_commands_build_only_the_table_they_read(capsys, monkeypatch):
-    # Lemma 1 reads only the weights; the others read primality from one [N, 2N + max H) table
-    windows, build = [], sieve.build_factor_table
-    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: windows.append((lo, hi)) or build(lo, hi))
+    # no moment command builds a factor table: Lemma 1 reads only the weights, and
+    # the others sieve the primes of their one piece, [N, 2N + h) or [N, 2N + max H) for S
+    tables, windows = [], []
+    build, window = sieve.build_factor_table, sieve.prime_window
+    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: tables.append((lo, hi)) or build(lo, hi))
     monkeypatch.setattr(cli, "build_factor_table", sieve.build_factor_table)
-    for argv, built in ((["moments", "--variant", "lemma1"], []),
-                        (["moments", "--variant", "lemma2", "--h", "2"], [(1000, 2006)]),
-                        (["moments", "--variant", "lemma3", "--h", "2"], [(1000, 2006)]),
-                        (["s-stat"], [(1000, 2006)])):
+
+    def logged(lo, hi):  # primes_up_to sieves its segments from 0 through it too
+        if lo >= 1000:
+            windows.append((lo, hi))
+        return window(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_window", logged)
+    for argv, sieved in ((["moments", "--variant", "lemma1"], []),
+                         (["moments", "--variant", "lemma2", "--h", "2"], [(1000, 2002)]),
+                         (["moments", "--variant", "lemma3", "--h", "2"], [(1000, 2002)]),
+                         (["s-stat"], [(1000, 2006)])):
         assert main([*argv, "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "5"]) == 0
         capsys.readouterr()
-        assert windows == built, argv
+        assert tables == [] and windows == sieved, argv
         windows.clear()
 
 
@@ -428,17 +437,17 @@ def test_bv_weighted_peak_stays_within_its_memory_charge(N, alpha, monkeypatch):
 
 
 def test_oversized_window_fails_before_allocating(capsys):
-    # 17 bytes per table integer at N = 1e12 exceeds any physical memory, and
-    # so do the prime sieves to 1e12 or more, such as the primes of I to
-    # N^0.7475 at N = 1e15, eps = 0.99; the estimate is refused before the
-    # table, the sieve or a float vector exists (Lemma 1 builds no table and
-    # holds only chunk buffers, so the moments case is Lemma 2)
+    # the prime sieves to 1e12 or more exceed any physical memory, such as
+    # the primes of I to N^0.7475 at N = 1e15, eps = 0.99, and so do float
+    # vectors of 1e12; the estimate is refused before the sieve or the
+    # vector exists (the moment sums hold only chunk buffers and the primes
+    # of one piece, so their cases are the star sums, Lemma 3 and S)
     tup = ["--k", "3", "--l", "1", "--big-r", "10"]
     huge = ["--n-window", str(10**12)]
     wide_star = ["--n-window", str(10**15), "--r", "2", "--eps", "0.99"]
     for argv in (["bv", *huge, "--q-max", "10"], ["bv-weighted", *huge, "--q-max", "10", "--alpha", "0.5"],
                  ["bv-star", *wide_star, "--q-max", "10"], ["count-star", *wide_star], ["weights", *huge, *tup],
-                 ["moments", "--variant", "lemma2", *huge, *tup], ["s-stat", *huge, *tup],
+                 ["moments", "--variant", "lemma3", *wide_star, *tup], ["s-stat", *wide_star, *tup],
                  ["classify", "--n", str(10**30)],
                  ["singular-series", "--k", "3", "--p-max", str(10**12)], ["tuple", "--k", str(10**12)],
                  ["weights", "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "1e12"]):

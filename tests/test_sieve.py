@@ -383,6 +383,7 @@ def test_in_two_raises_when_the_child_dies():
     (10**7, 2 * 10**7 + 9),  # several segments
     (2**31 - 2**12, 2**31 + 2**12),  # int64 residual
     (10**9, 10**9 + 2**23),
+    (2**50 - 3, 2**50 - 2),  # the primes to 2^25 span eight segments
 ])
 def test_table_nbytes_bounds_the_build(lo, hi):
     # the memory refusal charges table_nbytes, so the build must hold no more:
@@ -396,7 +397,7 @@ def test_table_nbytes_bounds_the_build(lo, hi):
     assert peak <= sieve.table_nbytes(lo, hi), (peak, sieve.table_nbytes(lo, hi))
 
 
-@pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**7, 3 * SEGMENT + 7])
 def test_primes_nbytes_bounds_the_sieve(n):
     tracemalloc.start()
     try:
@@ -406,6 +407,66 @@ def test_primes_nbytes_bounds_the_sieve(n):
         tracemalloc.stop()
     assert ps.dtype == np.int64
     assert peak <= sieve.primes_nbytes(n), (peak, sieve.primes_nbytes(n))
+
+
+def plain_sieve(n):
+    """The primes <= n from one unsegmented (n + 1)-byte mask: the reference for primes_up_to."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 24, 25, 26, 48, 49, 50,
+                               SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 7])
+def test_segmented_primes_equal_the_plain_sieve(n):
+    # prime squares 25 and 49 at the end, and both sides of each segment edge
+    got, want = primes_up_to(n), plain_sieve(n)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 3),  # lo = 2, hi = lo + 1
+    (2, 100),
+    (49, 122),  # 7^2 at the first integer, 11^2 at the last
+    (997**2, 1009**2 + 1),  # 1009 = isqrt(hi - 1) strikes only its square, the last integer
+    (10**7, 10**7 + 2**20 + 9),
+    (2**31 - 2**12, 2**31 + 2**12),  # past the table's int32 switch
+    (10**12, 10**12 + 10**5),
+])
+def test_prime_window_equals_the_tables_primes(lo, hi):
+    got = sieve.prime_window(lo, hi)
+    assert got.dtype == bool and got.shape == (hi - lo,)
+    assert np.array_equal(got, build_factor_table(lo, hi).omega == 1)
+
+
+def test_prime_window_from_zero_and_one():
+    # the table's floor is 2; below it 0 and 1 are not prime
+    for lo, hi in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 50), (0, 10**4)):
+        want = np.zeros(hi - lo, dtype=bool)
+        ps = plain_sieve(hi - 1)
+        want[ps[ps >= lo] - lo] = True
+        assert np.array_equal(sieve.prime_window(lo, hi), want), (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 4), (-1, 10), (-10, -5)])
+def test_prime_window_rejects_bad_windows(lo, hi):
+    with pytest.raises(ValueError, match="need 0 <= lo < hi"):
+        sieve.prime_window(lo, hi)
+
+
+def test_prime_window_past_memory_is_refused_before_sieving(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieved the primes up to {n}")
+
+    monkeypatch.setattr(sieve, "primes_up_to", no_sieve)
+    with pytest.raises(ValueError, match="physical memory"):
+        sieve.prime_window(10**15, 2 * 10**15)
 
 
 def test_span_is_the_coverage_check(table_full_1e4):
@@ -462,6 +523,20 @@ def test_mobius_up_to_matches_sympy():
     assert mu.tolist() == [float(sympy.mobius(m)) for m in range(1, 10**4 + 1)]
     assert not np.signbit(mu[mu == 0]).any()  # no -0.0
     assert sieve.mobius_up_to(1).tolist() == [1.0]
+
+
+def test_mobius_up_to_holds_its_charge():
+    # bv-weighted --f mobius charges primes_nbytes(n) + n + 1 for the sieve:
+    # the primes (two segments here) stay while mu's int8 array is sieved,
+    # and then the float64 output is made
+    n = SEGMENT + 1
+    tracemalloc.start()
+    try:
+        sieve.mobius_up_to(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve.primes_nbytes(n) + n + 1 + 8 * n, (peak, sieve.primes_nbytes(n))
 
 
 def test_build_refuses_past_int64_before_sieving(monkeypatch):

@@ -445,16 +445,18 @@ def test_s_statistic_single_offset_nonpositive(table_win_1e4):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("all_prime", [False, True])
-def test_s_statistic_hit_counts_past_int8_equal_int64_reference(all_prime):
+def test_s_statistic_hit_counts_past_int8_equal_int64_reference(all_prime, monkeypatch):
     # k = 130 shifts (the r = 3 headline has k0 = 3505); with a table whose
-    # Omega is 1 everywhere each n has 130 hits, which an int8 count would
-    # wrap.  Reference: int64 hit counts of the full-width indicators
+    # Omega is 1 everywhere, and the sum's prime sieve reading it from N on,
+    # each n has 130 hits, which an int8 count would wrap.  Reference: int64
+    # hit counts of the full-width indicators
     N = 10**4
     cfg = WeightConfig(H=generate_tuple(130), l=1, R=10.0)
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     t = build_factor_table(N, 2 * N + max(cfg.H.offsets) + 1)
     if all_prime:
-        t = dataclasses.replace(t, omega=np.ones_like(t.omega))
+        t, window = dataclasses.replace(t, omega=np.ones_like(t.omega)), sieve.prime_window
+        monkeypatch.setattr(sieve, "prime_window", lambda lo, hi: t.omega[t.span(lo, hi)] == 1 if lo >= N else window(lo, hi))
     smask = star_mask(spec, t)
     hits = sum(wide_reference(N, h, t, smask).astype(np.int64) for h in cfg.H.offsets)
     w = lambda_r_batch(N, 2 * N, cfg, t)
@@ -493,37 +495,56 @@ def test_out_of_range_R_warns(table_win_1e4):
 
 
 def _moment_calls(N, cfg, spec, table=None):
-    """The four moment reports over [N, 2N), with table or (None) with the tables the sums build."""
+    """The four moment reports over [N, 2N), with table or (None) with the primes the sums sieve."""
     return [moment_lemma1(N, cfg, table), moment_lemma2(N, cfg, 2, table),
             moment_lemma3(N, cfg, 2, spec, table), s_statistic(N, cfg, spec, table)]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("N", [10**4, 7 * 10**5, 3 * sieve.CHUNK + 5])
-def test_moments_without_a_table_equal_those_with_one(N):
-    # 7e5 is one chunk cut in two halves, 3 CHUNK + 5 four chunks, each
-    # shared with a forked child; repr tells every float apart by its bits
+def test_moments_without_a_table_equal_those_with_one(N, monkeypatch):
+    # the sums sieve their targets with prime_window; the reference reads
+    # them as Omega 1 from the window's table instead (primes_up_to's own
+    # segments from 0 still sieve).  7e5 is one chunk cut in two halves,
+    # 3 CHUNK + 5 four chunks, each shared with a forked child; repr tells
+    # every float apart by its bits
     cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
     spec = StarSetSpec(N=N, r=2, eps=0.3)
-    want = _moment_calls(N, cfg, spec, build_factor_table(N, 2 * N + 6))
     got = _moment_calls(N, cfg, spec)
+    t, window = build_factor_table(N, 2 * N + 6), sieve.prime_window
+    monkeypatch.setattr(sieve, "prime_window", lambda lo, hi: t.omega[t.span(lo, hi)] == 1 if lo >= N else window(lo, hi))
+    want = _moment_calls(N, cfg, spec, t)
     assert got == want and repr(got) == repr(want)
 
 
 def test_moment_sums_build_only_the_table_they_read(monkeypatch):
-    # Lemma 1 reads only the weights; the others build one [N, 2N + max H)
-    # table when none is passed, and none when one is
-    N, windows, build = 10**4, [], sieve.build_factor_table
-    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: windows.append((lo, hi)) or build(lo, hi))
+    # no sum builds a factor table; Lemma 1 reads only the weights, and the
+    # others sieve the primes of each piece's shifted range, whether or not
+    # a table is passed
+    N, tables, windows = 10**4, [], []
+    build, window = sieve.build_factor_table, sieve.prime_window
+    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: tables.append((lo, hi)) or build(lo, hi))
+
+    def logged(lo, hi):  # primes_up_to sieves its segments from 0 through it too
+        if lo >= N:
+            windows.append((lo, hi))
+        return window(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_window", logged)
+    monkeypatch.setattr(sieve, "CHUNK", 4000)  # three pieces, all in this process
+    monkeypatch.setattr(sieve, "_in_two", lambda job, items: [job(x) for x in items])
     cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=N**0.25)
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     assert moment_lemma1(N, cfg).empirical > 0
     assert windows == []
-    _moment_calls(N, cfg, spec)  # Lemma 1, then one build each for Lemma 2, Lemma 3 and S
-    assert windows == [(N, 2 * N + 6)] * 3
+    _moment_calls(N, cfg, spec)  # Lemma 1, then one sieve per piece for Lemma 2 and 3 (h = 2) and S
+    pieces = [(N, N + 4000), (N + 4000, N + 8000), (N + 8000, 2 * N)]
+    assert tables == []
+    sieved = [(lo, hi + top) for top in (2, 2, 6) for lo, hi in pieces]
+    assert windows == sieved
     windows.clear()
     _moment_calls(N, cfg, spec, build(N, 2 * N + 6))
-    assert windows == []
+    assert windows == sieved
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -650,20 +671,29 @@ def test_one_chunk_halves_sum_to_the_whole_window(N, R):
 
 def test_each_piece_reads_one_target_mask(moment_setup, monkeypatch):
     # one core, so every piece runs in the caller: at CHUNK = 1000 the ten
-    # pieces each read [N + a, N + a + 1000 + max shift) once, after the
-    # coverage check of the passed table; Lemma 1 reads no targets
+    # pieces each sieve [N + a, N + a + 1000 + max shift) once; the passed
+    # table is read only by the coverage check; Lemma 1 reads no targets
     N, cfg, t = moment_setup
     spec = StarSetSpec(N=N, r=2, eps=0.3)
     spans, span = [], sieve.FactorTable.span
     monkeypatch.setattr(sieve.FactorTable, "span", lambda self, lo, hi: spans.append((lo, hi)) or span(self, lo, hi))
+    windows, window = [], sieve.prime_window
+
+    def logged(lo, hi):  # primes_up_to sieves its segments from 0 through it too
+        if lo >= N:
+            windows.append((lo, hi))
+        return window(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_window", logged)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(sieve, "CHUNK", 1000)
     for call, top in ((lambda: moment_lemma1(N, cfg, t), None), (lambda: moment_lemma2(N, cfg, 2, t), 2),
                       (lambda: moment_lemma3(N, cfg, 2, spec, t), 2), (lambda: s_statistic(N, cfg, spec, t), 6)):
         spans.clear()
+        windows.clear()
         call()
-        pieces = [] if top is None else [(N + a, N + a + 1000 + top) for a in range(0, N, 1000)]
-        assert spans == [(N, 2 * N + 6), *pieces]
+        assert spans == [(N, 2 * N + 6)]
+        assert windows == ([] if top is None else [(N + a, N + a + 1000 + top) for a in range(0, N, 1000)])
 
 
 def _peak_bytes(fn, *args) -> int:
