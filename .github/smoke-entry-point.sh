@@ -33,6 +33,9 @@ primegaps bv --n-window 1000 --q-max 5 --out "$tmp/bv.json"
 # one integer high up: 2^50 - 3 = 59 * 176329 * 108224111, sieved by the primes up to 2^25
 primegaps classify --n 1125899906842621 \
   | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["omega"], r["is_prime"], r["threshold"]) != (3, 0, 0.7795891719468148))'
+# 2 times the prime below 2^49: that prime is trial-divided by the primes up to its square root, one BLOCK at a time
+primegaps classify --n 1125899906842462 \
+  | python -c 'import json, sys; r = json.load(sys.stdin)["results"]; sys.exit((r["omega"], r["is_prime"], r["threshold"]) != (2, 0, 0.9795918367346937))'
 # Lemma 2 over five chunks, each sieving the primes of its piece, shared with a forked child when two cores are free
 primegaps moments --variant lemma2 --h 2 --n-window 5000000 --k 3 --l 1 --big-r 37 \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["empirical"] != 10853347.104558202)'

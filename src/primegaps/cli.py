@@ -142,7 +142,7 @@ def _weight_config(args) -> weights.WeightConfig:
 
 
 def _star_spec(args) -> balanced.StarSetSpec:
-    """The star-set spec of the arguments, its r range-checked before any table is built."""
+    """The star-set spec of the arguments, its r range-checked before the window is sieved."""
     density.check_args(args.r, args.eps)
     return balanced.StarSetSpec(N=args.n_window, r=args.r, eps=args.eps)
 

@@ -7,9 +7,9 @@ time for the discrepancy sums and the balanced and star sets, and the
 moment sums sieve each piece with it.  Tables and prime sieves too large
 for physical memory are refused before allocating.
 
-The FactorTable, which classify builds, stores for every integer in
-[lo, hi) its least and greatest prime factors and Omega, sieved one
-segment at a time (build_factor_table, _walk).  P^+ starts at 0 and P^- at
+The FactorTable, which classify builds, holds for every integer in [lo, hi)
+its least and greatest prime factors and Omega in one shared mapping, one
+walk per segment (build_factor_table, _walk).  P^+ starts at 0 and P^- at
 its dtype's maximum, and each prime raises one and lowers the other by an
 in-place maximum and minimum, so the order of the primes does not matter.
 
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SEGMENT = 1 << 22  # integers per sieve segment
-BLOCK = 1 << 17  # integers per cache-sized block of the small-prime walk
-SMALL_P = 256  # primes up to this are walked one BLOCK at a time
+BLOCK = 1 << 17  # elements per cache-sized block: the weight fill, trial division and the block-wise scans
 CHUNK = 1 << 20  # integers per chunk of the window scans; a longer build is split
 
 _LI_OFFSET = 1.045163780117493  # li(2), subtracted so Li(2) = 0
@@ -246,7 +245,8 @@ def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
     24 bytes per prime and 32 per higher power that hits, and at most 66
     more per power while it lists the next level: under 256 bytes per prime
     besides its array headers, unless most primes hit seven levels, as only
-    a few of the block walk's primes <= SMALL_P do.  So a piece of
+    a few of the smallest do, which the segment's first piece holds (all 54
+    primes up to 256 once hi - lo or sqrt(hi) reaches 27,136).  So a piece of
     max(hi - lo, sqrt(hi)) / 512 primes holds under half the segment's bool
     mask (hi - lo bytes), or under half of what primes_nbytes(sqrt(hi))
     charges besides the primes the walk reads: sqrt(hi) bytes of mask below
@@ -299,19 +299,15 @@ def window_dtype(hi: int):
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
-    """Fill factor stats for [lo, hi) in place: small primes block by block, then the rest.
+    """Fill factor stats for [lo, hi) in place: one _walk of all the primes over the segment.
 
-    Both are _walk, which lists its hits before it writes, so the primes
-    > SMALL_P that miss the segment cost one element of a numpy remainder.
+    _walk lists its hits before it writes, so a prime that misses the
+    segment costs one element of a numpy remainder.
     """
     rem = np.arange(lo, hi, dtype=pmin.dtype)
     unset = np.iinfo(pmin.dtype).max
     pmin.fill(unset)
-    small = np.searchsorted(primes, SMALL_P, side="right")
-    for a in range(0, hi - lo, BLOCK):
-        b = min(a + BLOCK, hi - lo)
-        _walk(lo + a, lo + b, primes[:small], rem[a:b], pmin[a:b], pmax[a:b], omega[a:b])
-    _walk(lo, hi, primes[small:], rem, pmin, pmax, omega)
+    _walk(lo, hi, primes, rem, pmin, pmax, omega)
     # Residual cofactors: after removing all prime factors <= sqrt(hi),
     # what remains is either 1 or a single prime > sqrt(hi).  That prime
     # exceeds every recorded P^+, and P^+ >= 2 wherever rem is 1, so one
@@ -343,21 +339,21 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
 
     Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 9 bytes
     per integer below 2^31 and 17 above (p_minus and p_plus in window_dtype,
-    int8 omega), written in place one segment at a time.  A window of at
-    most CHUNK integers is one segment, sieved by the caller into numpy's
-    own arrays.  A longer one is cut into the fewest even number of equal
-    segments of at most SEGMENT, and its two halves are sieved by two
-    processes at once when two cores are free (_in_two): the outputs then
-    lie in one anonymous shared mapping, so that the child writes the
-    caller's table.
+    int8 omega), written in place one segment at a time into one anonymous
+    shared mapping, whatever the window's length.  A window of at most
+    CHUNK integers is one segment, sieved by the caller.  A longer one is
+    cut into the fewest even number of equal segments of at most SEGMENT,
+    and its two halves are sieved by two processes at once when two cores
+    are free (_in_two); the child writes the caller's table through the
+    mapping.
     Each process holds the scratch of one segment: the residual cofactors
     (window_dtype too) and one bool mask, at most 20 MiB below 2^31 and
     36 MiB above.  The build is refused before allocating when hi exceeds
     2^63 (past int64) or when its total, table_nbytes, exceeds physical
-    memory.  Each segment walks the primes <= SMALL_P one BLOCK at a time,
-    then the rest; p_minus starts at its dtype's maximum and entries still
-    there after the walk are primes.  Deterministic: rebuilding any
-    sub-window, cut into any segments, yields identical values.
+    memory.  Each segment is one _walk of all the primes <= sqrt(hi - 1);
+    p_minus starts at its dtype's maximum and entries still there after the
+    walk are primes.  Deterministic: rebuilding any sub-window, cut into any
+    segments, yields identical values.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
@@ -370,12 +366,10 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     primes = primes_up_to(math.isqrt(hi - 1))
     dtype = np.dtype(window_dtype(hi))
     n = _segments(size)
-    if n > 1:  # one zero-filled anonymous shared mapping, which a child forked by _in_two writes through
-        mapping = mmap.mmap(-1, size * (2 * dtype.itemsize + 1))
-        pmin, pmax = (np.frombuffer(mapping, dtype, size, i * size * dtype.itemsize) for i in (0, 1))
-        omega = np.frombuffer(mapping, np.int8, size, 2 * size * dtype.itemsize)
-    else:  # numpy's arrays, which many small tables built in turn reuse from the heap
-        pmin, pmax, omega = np.empty(size, dtype), np.zeros(size, dtype), np.zeros(size, np.int8)
+    # one zero-filled anonymous shared mapping, which a child forked by _in_two writes through
+    mapping = mmap.mmap(-1, size * (2 * dtype.itemsize + 1))
+    pmin, pmax = (np.frombuffer(mapping, dtype, size, i * size * dtype.itemsize) for i in (0, 1))
+    omega = np.frombuffer(mapping, np.int8, size, 2 * size * dtype.itemsize)
     cuts = [size * i // n for i in range(n + 1)]
 
     def segment(i: int) -> None:
@@ -389,12 +383,12 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
 
 
 def _trial_spf(n: int, primes: np.ndarray) -> int:
-    """Smallest prime factor of n by trial division; n itself if prime."""
-    for p in (int(p) for p in primes):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return p
+    """Smallest prime factor of n (n if prime): one numpy remainder per BLOCK of the primes <= sqrt(n)."""
+    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+    for a in range(0, len(primes), BLOCK):
+        hits = np.flatnonzero(n % primes[a : a + BLOCK] == 0)
+        if hits.size:
+            return int(primes[a + hits[0]])
     return n
 
 

@@ -50,6 +50,9 @@ MAX_DIVISORS = 5_000_000
 #: Singular-series truncation used for predicted main terms.
 SERIES_P_MAX = 1_000_000
 
+#: Moduli d up to this are added into the weights one sieve.BLOCK at a time (_fill).
+SMALL_P = 256
+
 LEMMA1 = "lemma1"
 LEMMA2 = "lemma2"
 LEMMA3 = "lemma3"
@@ -187,13 +190,13 @@ def _fill(plan: tuple[np.ndarray, list[tuple[int, float, list[int]]]], buf: np.n
     fixes the rounding.  The base holds, for each residue mod its period,
     the sum over the prefix of that order, so copying it from phase lo mod
     period gives every element the partial sum those additions would have.
-    The copy and the remaining small moduli d <= sieve.SMALL_P (a prefix of
+    The copy and the remaining small moduli d <= SMALL_P (a prefix of
     what is left) are applied one sieve.BLOCK of buf at a time so that it
     stays in cache, and the larger d then add over all of buf.
     """
     base, rest = plan
     period = len(base)
-    n_small = sum(d <= sieve.SMALL_P for d, _, _ in rest)
+    n_small = sum(d <= SMALL_P for d, _, _ in rest)
     for b0 in range(0, len(buf), sieve.BLOCK):
         block = buf[b0 : b0 + sieve.BLOCK]
         # one period from phase (lo + b0) mod period, then doubled in place

@@ -76,6 +76,35 @@ def test_factorize_against_trial_division_oracle():
         assert list(factorize(t, n).factors) == trial_division(n)
 
 
+def _prime_loop_spf(n, primes):
+    """Reference: the smallest prime factor of n by a Python loop over the primes, n if none <= sqrt(n) divides it."""
+    for p in (int(p) for p in primes):
+        if p * p > n:
+            break
+        if n % p == 0:
+            return p
+    return n
+
+
+def test_trial_spf_equals_the_prime_loop():
+    # the three n are 2 and 3 times the primes below 2^49, 2^53 and 2^55, which
+    # classify finishes below its one-integer window; the primes list reaches
+    # past sqrt of the first prime, so its whole loop runs over 12 BLOCKs
+    primes = primes_up_to(2**25)
+    B = sieve.BLOCK
+    cases = [
+        *range(2, 1000), 2**31 - 1,
+        1_000_003**2,  # a prime square
+        int(primes[B - 1]) * int(primes[B]),  # the last prime of the first BLOCK
+        int(primes[B]) * int(primes[B + 1]),  # the first prime of the second BLOCK
+        1125899906842462, 562949953421231,
+        27021597764222643, 9007199254740881,
+        72057594037927826, 36028797018963913,
+    ]
+    for n in cases:
+        assert sieve._trial_spf(n, primes) == _prime_loop_spf(n, primes), n
+
+
 def test_factorize_rejects_out_of_window(table_full_1e6):
     t = table_full_1e6
     for n in (1, t.hi, 10**7):
@@ -175,11 +204,9 @@ def test_int32_window_ending_at_the_fill_value_against_sympy():
 
 @pytest.mark.parametrize("lo, hi", [(2, 2**16), (2, 10**5), (10**6, 2 * 10**6 + 9)])
 def test_block_and_segment_sizes_do_not_change_the_table(monkeypatch, lo, hi):
-    # [2, 2^16) has sqrt(hi) < SMALL_P, so only the block walk runs there
     want = _table_bytes(build_factor_table(lo, hi))
     monkeypatch.setattr(sieve, "SEGMENT", 5000)
     monkeypatch.setattr(sieve, "CHUNK", 5000)  # builds over one CHUNK are cut
-    monkeypatch.setattr(sieve, "BLOCK", 777)
     assert _table_bytes(build_factor_table(lo, hi)) == want
 
 
@@ -237,6 +264,7 @@ def _one_process_table(lo, hi):
     (1 << 16, 2**31 - (1 << 16), (3 << 16) - 5),  # across 2^31: int64 outputs
     (SEGMENT, 10**7, 2 * SEGMENT + 9),  # the real segment: cut into 4
     (SEGMENT, 2, 2 * 10**6 + 15),  # [2, 2e6 + 17), over one CHUNK: cut into 2
+    (SEGMENT, 10**6 + 3, sieve.CHUNK),  # one CHUNK: one segment in the mapping, against heap arrays
 ])
 def test_split_build_equals_one_process_reference(monkeypatch, segment, lo, length):
     # builds over one CHUNK are cut, and CHUNK <= SEGMENT as in the module
@@ -297,7 +325,7 @@ def _interleaved_walk(lo, hi, primes, rem, pmin, pmax, omega):
 
 
 @pytest.mark.parametrize("lo, hi", [
-    (2, 2**16),  # sqrt(hi) < SMALL_P: only the block walk runs
+    (2, 2**16),  # sqrt(hi) < 256: all 54 sieving primes in one piece, 2 hitting 15 levels
     (2, 10**5),
     (10**7, 10**7 + 300_009),
     (10**6, 10**6 + SEGMENT + 100_000),  # cut into two segments
@@ -379,6 +407,7 @@ def test_in_two_raises_when_the_child_dies():
 
 
 @pytest.mark.parametrize("lo, hi", [
+    (49, 50),  # one integer, as classify builds
     (2, 10**5),
     (10**7, 2 * 10**7 + 9),  # several segments
     (2**31 - 2**12, 2**31 + 2**12),  # int64 residual
@@ -387,13 +416,15 @@ def test_in_two_raises_when_the_child_dies():
 ])
 def test_table_nbytes_bounds_the_build(lo, hi):
     # the memory refusal charges table_nbytes, so the build must hold no more:
-    # the outputs, the segment scratch and the prime sieve
+    # the outputs, the segment scratch and the prime sieve.  tracemalloc does
+    # not see the outputs' shared mapping, so its bytes are added to the peak
     tracemalloc.start()
     try:
         build_factor_table(lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    peak += (hi - lo) * (2 * np.dtype(sieve.window_dtype(hi)).itemsize + 1)
     assert peak <= sieve.table_nbytes(lo, hi), (peak, sieve.table_nbytes(lo, hi))
 
 

@@ -123,7 +123,7 @@ def full_length_batch(lo, hi, cfg):
 @pytest.mark.parametrize("k", [3, 6])
 def test_blocked_batch_is_bit_identical_to_full_length(R, k):
     # unaligned lo, three whole blocks and a ragged tail; the moduli fall on
-    # both sides of sieve.SMALL_P once R > sieve.SMALL_P
+    # both sides of weights.SMALL_P once R > weights.SMALL_P
     lo = 10**6 + 12345
     hi = lo + 3 * sieve.BLOCK + 777
     cfg = WeightConfig(H=generate_tuple(k), l=1, R=R)
@@ -554,7 +554,7 @@ def test_window_sums_match_chunked_full_width_reference(table_win_1e4, monkeypat
     # 1000 splits [N, 2N) into 10 whole chunks, 999 leaves a ragged last
     # one, and 15000 makes one chunk longer than CHUNK // 2, cut in two
     # halves; the shifts n + h and the star slice cross every chunk end, and
-    # R = 300 adds moduli above sieve.SMALL_P.  Reference: fsum of the sums
+    # R = 300 adds moduli above weights.SMALL_P.  Reference: fsum of the sums
     # of the same slices of each full-width expression.
     N, t = 10**4, table_win_1e4
     cfg = WeightConfig(H=AdmissibleTuple((0, 2, 6)), l=1, R=R)
