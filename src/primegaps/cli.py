@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import build_factor_table, check_fits, factorize, mobius_up_to, primes_nbytes
+from .sieve import check_fits, mobius_up_to, primes_nbytes, trial_factorize
 
 ARTIFACT_VERSION = __version__
 
@@ -151,11 +151,7 @@ def _star_spec(args) -> balanced.StarSetSpec:
 
 
 def cmd_classify(args):
-    n = args.n
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    table = build_factor_table(n, n + 1)
-    cls = balanced.classify(factorize(table, n))
+    cls = balanced.classify(trial_factorize(args.n))
     row = {
         "n": cls.n,
         "omega": cls.omega_big,

@@ -184,13 +184,16 @@ def _primes(N: int, table: FactorTable | None) -> np.ndarray:
 def _target_values(cfg: DiscrepancyConfig, table: FactorTable | None) -> np.ndarray:
     """The primes <= N or the star-set members, ascending, in window_dtype.
 
-    The members are scattered from the primes of I (the table, if given,
-    is only range-checked) one sieve.CHUNK at a time, once a charge of
-    32 B each fits: with their pieces while joined, and a pass's residues
-    and bincount's int64 copy in each of two processes.
+    Each target is charged before it is listed: 28 B per prime under
+    sieve.pi_bound(N), for its value and, in each of two processes, a pass's
+    residues and bincount's int64 copy of int32 ones; 32 B per star member,
+    scattered from the primes of I (the table, if given, is only
+    range-checked) one sieve.CHUNK at a time, which also covers their
+    chunk pieces while joined.
     """
     N = cfg.N
     if cfg.target == PRIMES_LE_N:
+        sieve.check_fits(28 * sieve.pi_bound(N))
         return _primes(N, table).astype(window_dtype(N + 1))
     star = balanced._listed(*balanced._star_primes(cfg.spec, table), cfg.spec.r, N)
     sieve.check_fits(32 * int(balanced._runs(*star, N, 2 * N)[1].sum()))

@@ -3,20 +3,23 @@
 prime_window(lo, hi) is the one primality kernel: a bool mask of [lo, hi)
 in which each prime <= sqrt(hi - 1) strikes its multiples from its square
 on (Bays & Hudson, BIT 17 (1977)).  primes_up_to lists it one SEGMENT at a
-time for the discrepancy sums and the balanced and star sets, and the
-moment sums sieve each piece with it.  Tables and prime sieves too large
-for physical memory are refused before allocating.
+time into one array for the discrepancy sums and the balanced and star
+sets, and the moment sums sieve each piece with it.  Tables and prime
+sieves too large for physical memory are refused before allocating.
+Factorization has one route, trial division (_trial): classify's
+trial_factorize divides by the primes up to sqrt(n) one segment at a time.
 
-The FactorTable, which classify builds, holds for every integer in [lo, hi)
-its least and greatest prime factors and Omega in one shared mapping, one
-walk per segment (build_factor_table, _walk).  P^+ starts at 0 and P^- at
-its dtype's maximum, and each prime raises one and lowers the other by an
-in-place maximum and minimum, so the order of the primes does not matter.
+The FactorTable, which only the benchmark and the tests build, holds for
+every integer in [lo, hi) its least and greatest prime factors and Omega
+in one shared mapping, one walk per segment (build_factor_table, _walk);
+factorize checks its rows.  P^+ starts at 0 and P^- at its dtype's
+maximum, and each prime raises one and lowers the other by an in-place
+maximum and minimum, so the order of the primes does not matter.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
 - Li(x) is the offset logarithmic integral, the integral of 1/ln t from 2 to x;
-- the window floor is 2 (n = 1 is rejected by factorize).
+- the window floor is 2 (n = 1 is rejected by factorize and trial_factorize).
 """
 
 from __future__ import annotations
@@ -93,21 +96,37 @@ def check_fits(nbytes: int) -> None:
                          f"{have / 2**30:.3g} GiB of physical memory")
 
 
+def pi_bound(n: int) -> int:
+    """A bound on the number of primes <= n >= 2: pi(n) < 1.25506 n / ln n (Rosser & Schoenfeld, 1962)."""
+    return int(1.25506 * n / math.log(n)) + 1
+
+
 def primes_nbytes(n: int) -> int:
-    """Bytes of primes_up_to(n): a SEGMENT's mask, the primes <= sqrt(n), its primes (twice past a SEGMENT)."""
+    """Bytes of primes_up_to(n): its array, a SEGMENT's mask, two segments' primes and the primes <= sqrt(n)."""
     if n < 2:
         return 0
-    primes = 8 * (int(1.25506 * n / math.log(n)) + 1)  # pi(n) < 1.25506 n / ln n
-    return min(n + 1, SEGMENT) + primes * (1 if n < SEGMENT else 2) + primes_nbytes(math.isqrt(n))
+    return min(n + 1, SEGMENT) + 8 * (pi_bound(n) + 2 * pi_bound(min(n, SEGMENT))) + primes_nbytes(math.isqrt(n))
+
+
+def _prime_segments(lo: int, hi: int):
+    """The primes of [lo, hi) as ascending int64 arrays, one SEGMENT of prime_window at a time."""
+    for a in range(lo, hi, SEGMENT):
+        ps = np.flatnonzero(prime_window(a, min(a + SEGMENT, hi)))
+        ps += a
+        yield ps
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Ascending int64 array of the primes <= n, one SEGMENT of prime_window at a time; refused if too large."""
+    """Ascending int64 primes <= n, the filled prefix of one pi_bound(n) array; refused if too large."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     check_fits(primes_nbytes(n))
-    pieces = [np.flatnonzero(prime_window(lo, min(lo + SEGMENT, n + 1))) + lo for lo in range(0, n + 1, SEGMENT)]
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    out = np.empty(pi_bound(n), dtype=np.int64)
+    k = 0
+    for ps in _prime_segments(0, n + 1):
+        out[k : k + ps.size] = ps
+        k += ps.size
+    return out[:k]
 
 
 def prime_window(lo: int, hi: int) -> np.ndarray:
@@ -174,7 +193,7 @@ class FactorTable:
         p_minus: least prime factor of lo + i, int32 for hi <= 2^31, else int64.
         p_plus: greatest prime factor of lo + i, same dtype as p_minus.
         omega: int8 array, Omega(lo + i) with multiplicity (at most 62 below 2^63).
-        primes: primes <= sqrt(hi - 1), used for out-of-window quotients.
+        primes: primes <= sqrt(hi - 1), which factorize trial-divides by.
 
     An entry whose least prime factor exceeds sqrt(hi - 1) is a prime.
     All arrays are read-only; a table may be shared freely across threads.
@@ -247,15 +266,13 @@ def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
     besides its array headers, unless most primes hit seven levels, as only
     a few of the smallest do, which the segment's first piece holds (all 54
     primes up to 256 once hi - lo or sqrt(hi) reaches 27,136).  So a piece of
-    max(hi - lo, sqrt(hi)) / 512 primes holds under half the segment's bool
-    mask (hi - lo bytes), or under half of what primes_nbytes(sqrt(hi))
-    charges besides the primes the walk reads: sqrt(hi) bytes of mask below
-    2^44, and past it a SEGMENT's mask and the concatenation copy's 8 B per
-    prime, 0.70 sqrt(hi) at 2^50, which still covers the caller's piece.
-    table_nbytes charges both; half, because a forked child may walk its
-    own piece at the same time.
+    max(hi - lo, min(sqrt(hi), SEGMENT)) / 512 primes holds under half the
+    segment's bool mask (hi - lo bytes), or under half of the prime sieve's
+    segment mask (min(sqrt(hi), SEGMENT) bytes), which primes_nbytes(sqrt(hi))
+    charges and the walk does not hold.  table_nbytes charges both; half,
+    because a forked child may walk its own piece at the same time.
     """
-    piece = max(hi - lo, math.isqrt(hi - 1)) // 512 + 1
+    piece = max(hi - lo, min(math.isqrt(hi - 1), SEGMENT)) // 512 + 1
     for i in range(0, len(primes), piece):
         _passes(_hits(lo, hi, primes[i : i + piece], rem.dtype), rem, pmin, pmax, omega)
 
@@ -382,43 +399,54 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     return FactorTable(lo=lo, hi=hi, p_minus=pmin, p_plus=pmax, omega=omega, primes=primes)
 
 
-def _trial_spf(n: int, primes: np.ndarray) -> int:
-    """Smallest prime factor of n (n if prime): one numpy remainder per BLOCK of the primes <= sqrt(n)."""
-    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-    for a in range(0, len(primes), BLOCK):
-        hits = np.flatnonzero(n % primes[a : a + BLOCK] == 0)
-        if hits.size:
-            return int(primes[a + hits[0]])
-    return n
+def _trial(n: int, pieces) -> Factorization:
+    """Factorization of n by trial division over pieces, consecutive int64 runs of the primes up to sqrt(n).
+
+    The first piece starts at 2.  One cur % primes == 0 numpy remainder per
+    piece finds the primes that divide what is left of n, and their powers
+    are divided out in Python ints.  The walk stops after the first piece whose last prime p has
+    (p + 1)^2 > what is left, so the next piece is never made; what is left
+    is then 1 or a prime.
+    """
+    factors = []
+    cur = n
+    for primes in pieces:
+        for p in primes[cur % primes == 0].tolist():
+            e = 0
+            while cur % p == 0:
+                cur //= p
+                e += 1
+            factors.append((p, e))
+        if primes.size and (int(primes[-1]) + 1) ** 2 > cur:
+            break
+    if cur > 1:
+        factors.append((cur, 1))
+    return Factorization(n=n, factors=tuple(factors))
+
+
+def trial_factorize(n: int) -> Factorization:
+    """Factorization of one n in [2, 2^63), refused before any sieve outside it.
+
+    The primes <= sqrt(n) come one segment at a time, as primes_up_to lists
+    them, and a smooth n stops after its first segment.
+    """
+    if not 2 <= n < 2**63:
+        raise ValueError(f"need 2 <= n < 2^63, got {n}")
+    return _trial(n, _prime_segments(2, math.isqrt(n) + 1))
 
 
 def factorize(table: FactorTable, n: int) -> Factorization:
-    """Complete factorization of n via the table's recorded smallest factors.
+    """Factorization of n in the table's window by trial division, checked against the table's row.
 
-    Quotients that fall below the window are finished by trial division
-    over the table's small-prime list, which always reaches sqrt of any
-    quotient since quotients stay below hi.
+    _trial runs over BLOCK slices of table.primes, which reach sqrt(hi - 1);
+    an (Omega, P^-, P^+) that differs from the table's raises ArithmeticError.
     """
     idx = table.span(n, n + 1).start  # raises for out-of-window n, including n = 1
-    factors: list[tuple[int, int]] = []
-    cur = n
-    while cur > 1:
-        if table.lo <= cur < table.hi:
-            p = int(table.p_minus[cur - table.lo])
-        else:
-            p = _trial_spf(cur, table.primes)
-        if p < 2 or cur % p:
-            raise ArithmeticError(f"table gives P^-({cur}) = {p}, which does not divide it")
-        e = 0
-        while cur % p == 0:
-            cur //= p
-            e += 1
-        factors.append((p, e))
-    f = Factorization(n=n, factors=tuple(factors))
-    if f.omega_big != int(table.omega[idx]):
-        raise ArithmeticError(
-            f"factorization of {n} has Omega={f.omega_big}, table says {int(table.omega[idx])}"
-        )
+    f = _trial(n, (table.primes[a : a + BLOCK] for a in range(0, len(table.primes), BLOCK)))
+    got = (f.omega_big, f.p_minus, f.p_plus)
+    row = (int(table.omega[idx]), int(table.p_minus[idx]), int(table.p_plus[idx]))
+    if got != row:
+        raise ArithmeticError(f"{n} has (Omega, P^-, P^+) = {got}, the table says {row}")
     return f
 
 

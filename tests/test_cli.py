@@ -73,26 +73,32 @@ def test_classify_prime(capsys):
 
 
 def test_classify_high_up(capsys):
-    # 2^50 - 3 = 59 * 176329 * 108224111: the walk sieves by the 2,063,689
-    # primes up to 2^25, of which only 59 and 176329 hit the one integer
+    # 2^50 - 3 = 59 * 176329 * 108224111: the first segment of the primes up
+    # to 2^25 divides out 59 and 176329, and leaves a prime below its square
     n = 2**50 - 3
     res = run_json(capsys, "classify", "--n", str(n))["results"]
     assert (res["n"], res["omega"], res["is_prime"]) == (n, 3, 0)
     assert res["threshold"] == 0.7795891719468148 == 1 - math.log(59) / math.log(108224111)
 
 
-def test_classify_builds_only_the_integer_it_reads(capsys, monkeypatch):
-    windows = []
-    build = cli.build_factor_table
+def test_classify_builds_no_table_and_sieves_only_to_its_root(capsys, monkeypatch):
+    # classify trial-divides n by the primes up to sqrt(n), one prime_window
+    # segment at a time from 2, and stops once what is left is 1 or a prime:
+    # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 needs one segment of 725
+    tables, windows = [], []
+    build, window = sieve.build_factor_table, sieve.prime_window
+    monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: tables.append((lo, hi)) or build(lo, hi))
 
-    def spy(lo, hi):
-        windows.append((lo, hi))
-        return build(lo, hi)
+    def logged(lo, hi):  # each segment sieves its own sieving primes from 0 through it too
+        if lo >= 2:
+            windows.append((lo, hi))
+        return window(lo, hi)
 
-    monkeypatch.setattr(cli, "build_factor_table", spy)
-    assert run_json(capsys, "classify", "--n", "49")["results"]["omega"] == 2
-    assert run_json(capsys, "classify", "--n", str(2**31 - 1))["results"]["is_prime"] == 1
-    assert windows == [(49, 50), (2**31 - 1, 2**31)]
+    monkeypatch.setattr(sieve, "prime_window", logged)
+    for n, sieved in ((49, [(2, 8)]), (2**31 - 1, [(2, 46341)]), (2**63 - 1, [(2, 2 + sieve.SEGMENT)])):
+        assert run_json(capsys, "classify", "--n", str(n))["results"]["n"] == n
+        assert tables == [] and windows == sieved, n
+        windows.clear()
 
 
 def test_density_value_and_manifest(capsys):
@@ -159,7 +165,6 @@ def test_moment_commands_build_only_the_table_they_read(capsys, monkeypatch):
     tables, windows = [], []
     build, window = sieve.build_factor_table, sieve.prime_window
     monkeypatch.setattr(sieve, "build_factor_table", lambda lo, hi: tables.append((lo, hi)) or build(lo, hi))
-    monkeypatch.setattr(cli, "build_factor_table", sieve.build_factor_table)
 
     def logged(lo, hi):  # primes_up_to sieves its segments from 0 through it too
         if lo >= 1000:
@@ -375,9 +380,9 @@ def test_computation_error_exit_1(capsys):
     rc = main(["density", "--r", "1", "--eps", "0.1"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-    for n in (1, 0, -7):  # refused before a table is built, naming n
+    for n in (1, 0, -7, 2**63, 10**30):  # refused before any sieve, naming n
         assert main(["classify", "--n", str(n)]) == 1
-        assert capsys.readouterr().err == f"error: need n >= 2, got {n}\n"
+        assert capsys.readouterr().err == f"error: need 2 <= n < 2^63, got {n}\n"
     # k = 0 reaches the tuple generator's check, not the missing-option message
     for cmd in (["weights", "--n-window", "100", "--l", "1", "--big-r", "10"], ["singular-series"]):
         assert main([*cmd, "--k", "0"]) == 1
@@ -448,7 +453,6 @@ def test_oversized_window_fails_before_allocating(capsys):
     for argv in (["bv", *huge, "--q-max", "10"], ["bv-weighted", *huge, "--q-max", "10", "--alpha", "0.5"],
                  ["bv-star", *wide_star, "--q-max", "10"], ["count-star", *wide_star], ["weights", *huge, *tup],
                  ["moments", "--variant", "lemma3", *wide_star, *tup], ["s-stat", *wide_star, *tup],
-                 ["classify", "--n", str(10**30)],
                  ["singular-series", "--k", "3", "--p-max", str(10**12)], ["tuple", "--k", str(10**12)],
                  ["weights", "--n-window", "1000", "--k", "3", "--l", "1", "--big-r", "1e12"]):
         assert main(argv) == 1, argv

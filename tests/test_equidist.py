@@ -138,6 +138,27 @@ def test_prime_discrepancies_read_no_table(table_full_1e4, table_win_1e4):
         weighted_discrepancy(cfg, 0.5, f, table_win_1e4)
 
 
+def test_bv_charges_its_passes_before_the_sieve(capsys, monkeypatch):
+    # at N = 1e8 the prime sieve's own charge (64 MB; 113 MB when it was bv's
+    # only charge) fits in 128 MiB, but each prime's value and the residues
+    # of a pass in each of two processes, 28 B under the pi bound (190 MB),
+    # do not: bv is refused before any sieve
+    N, have = 10**8, 128 << 20
+    assert sieve.primes_nbytes(N) <= have < 28 * sieve.pi_bound(N)
+    sysconf, page = os.sysconf, os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: have // page if name == "SC_PHYS_PAGES" else sysconf(name))
+    sieve.check_fits(sieve.primes_nbytes(N))
+
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved [{lo}, {hi})")
+
+    monkeypatch.setattr(sieve, "prime_window", no_sieve)
+    with pytest.raises(ValueError, match="physical memory"):
+        bv_prime_discrepancy(DiscrepancyConfig(N=N, q_max=10))
+    assert cli.main(["bv", "--n-window", str(N), "--q-max", "10"]) == 1
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_weighted_zero_coefficients(table_full_1e4):
     N = 10**4
     cfg = DiscrepancyConfig(N=N, q_max=10)

@@ -76,20 +76,14 @@ def test_factorize_against_trial_division_oracle():
         assert list(factorize(t, n).factors) == trial_division(n)
 
 
-def _prime_loop_spf(n, primes):
-    """Reference: the smallest prime factor of n by a Python loop over the primes, n if none <= sqrt(n) divides it."""
-    for p in (int(p) for p in primes):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return p
-    return n
+def test_trial_factorize_equals_sympy(table_full_1e4):
+    # 2 and 3 times the primes below 2^49, 2^53 and 2^55, and those primes,
+    # run through many segments of primes; the others sit at the edge of the
+    # first SEGMENT (2^22) of primes, which starts at 2: 4194301 is its last
+    # prime and 4194319 the second segment's first, the prime just past
+    # 4194306^2 ends on an empty segment, and 2^63 - 1 is smooth
+    import sympy
 
-
-def test_trial_spf_equals_the_prime_loop():
-    # the three n are 2 and 3 times the primes below 2^49, 2^53 and 2^55, which
-    # classify finishes below its one-integer window; the primes list reaches
-    # past sqrt of the first prime, so its whole loop runs over 12 BLOCKs
     primes = primes_up_to(2**25)
     B = sieve.BLOCK
     cases = [
@@ -100,9 +94,22 @@ def test_trial_spf_equals_the_prime_loop():
         1125899906842462, 562949953421231,
         27021597764222643, 9007199254740881,
         72057594037927826, 36028797018963913,
+        4194319**2, 4194301 * 4194319, int(sympy.nextprime(4194306**2)), 2**63 - 1,
     ]
     for n in cases:
-        assert sieve._trial_spf(n, primes) == _prime_loop_spf(n, primes), n
+        assert list(sieve.trial_factorize(n).factors) == sorted(sympy.factorint(n).items()), n
+    for n in range(2, 10**4):
+        assert sieve.trial_factorize(n) == factorize(table_full_1e4, n), n
+
+
+@pytest.mark.parametrize("n", [1, 0, -7, 2**63, 10**30])
+def test_trial_factorize_refuses_n_outside_int64_before_sieving(monkeypatch, n):
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved [{lo}, {hi})")
+
+    monkeypatch.setattr(sieve, "prime_window", no_sieve)
+    with pytest.raises(ValueError, match=r"need 2 <= n < 2\^63, got"):
+        sieve.trial_factorize(n)
 
 
 def test_factorize_rejects_out_of_window(table_full_1e6):
@@ -407,7 +414,7 @@ def test_in_two_raises_when_the_child_dies():
 
 
 @pytest.mark.parametrize("lo, hi", [
-    (49, 50),  # one integer, as classify builds
+    (49, 50),  # one integer
     (2, 10**5),
     (10**7, 2 * 10**7 + 9),  # several segments
     (2**31 - 2**12, 2**31 + 2**12),  # int64 residual
@@ -642,10 +649,9 @@ def test_factorize_rejects_tampered_table(table_full_1e4):
     tampered[60 - t.lo] += 1
     with pytest.raises(ArithmeticError):
         factorize(dataclasses.replace(t, omega=tampered), 60)
-    # a recorded P^- that does not divide the quotient, or is not >= 2,
-    # is refused rather than looped on
-    for bad in (1, 7):
-        tampered = t.p_minus.copy()
+    # a recorded P^- or P^+ that is not the trial division's is refused
+    for field, bad in (("p_minus", 1), ("p_minus", 7), ("p_plus", 3), ("p_plus", 7)):
+        tampered = getattr(t, field).copy()
         tampered[60 - t.lo] = bad
         with pytest.raises(ArithmeticError):
-            factorize(dataclasses.replace(t, p_minus=tampered), 60)
+            factorize(dataclasses.replace(t, **{field: tampered}), 60)
