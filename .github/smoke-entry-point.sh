@@ -88,6 +88,9 @@ primegaps bv --n-window 1000000 --q-max 1000 \
 # 15 passes over the dense g(n) = sum of mu(m) over n = m p <= 1e6, shared with a forked child when two cores are free
 primegaps bv-weighted --n-window 1000000 --q-max 30 --alpha 0.5 --f mobius \
   | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 56838.91398688033)'
+# mu(m) for m <= 4e6^0.95 = 1,870,496, struck in two 2^20 chunks by the primes up to its square root
+primegaps bv-weighted --n-window 4000000 --q-max 5 --alpha 0.05 --f mobius \
+  | python -c 'import json, sys; sys.exit(json.load(sys.stdin)["results"]["total"] != 52575.94831373719)'
 # non-integer f(m) = cos m: the q = 1 total of g adds g(n) in increasing n
 python -c 'import math; print("\n".join(f"{m} {math.cos(m)!r}" for m in range(1, 1001)))' > "$tmp/cos.txt"
 primegaps bv-weighted --n-window 1000000 --q-max 1 --alpha 0.5 --f "$tmp/cos.txt" \

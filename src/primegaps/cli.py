@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__, balanced, density, equidist, tuples, weights
-from .sieve import check_fits, mobius_up_to, primes_nbytes, trial_factorize
+from .sieve import check_fits, mobius_up_to, trial_factorize
 
 ARTIFACT_VERSION = __version__
 
@@ -282,9 +282,8 @@ def cmd_bv_star(args):
 def cmd_bv_weighted(args):
     N = args.n_window
     m_max = int(N ** (1.0 - args.alpha))
-    # equidist's buffers, then f's 8 B per m and mu's prime sieve and int8 array
-    mobius_sieve = primes_nbytes(m_max) + m_max + 1 if args.f == "mobius" else 0
-    check_fits(equidist.weighted_nbytes(N, m_max, args.q_max) + 8 * m_max + mobius_sieve)
+    # equidist's buffers, then f's 8 B per m; mobius_up_to charges its own sieve
+    check_fits(equidist.weighted_nbytes(N, m_max, args.q_max) + 8 * m_max)
     if args.f == "const1":
         f = np.ones(m_max)
     elif args.f == "mobius":

@@ -1,20 +1,16 @@
 """Segmented prime and factor sieves over a window, plus factorization, mu and Li.
 
-prime_window(lo, hi) is the one primality kernel: a bool mask of [lo, hi)
-in which each prime <= sqrt(hi - 1) strikes its multiples from its square
-on (Bays & Hudson, BIT 17 (1977)).  primes_up_to lists it one SEGMENT at a
-time into one array for the discrepancy sums and the balanced and star
-sets, and the moment sums sieve each piece with it.  Tables and prime
-sieves too large for physical memory are refused before allocating.
-Factorization has one route, trial division (_trial): classify's
-trial_factorize divides by the primes up to sqrt(n) one segment at a time.
-
-The FactorTable, which only the benchmark and the tests build, holds for
-every integer in [lo, hi) its least and greatest prime factors and Omega
-in one shared mapping, one walk per segment (build_factor_table, _walk);
-factorize checks its rows.  P^+ starts at 0 and P^- at its dtype's
-maximum, and each prime raises one and lowers the other by an in-place
-maximum and minimum, so the order of the primes does not matter.
+Every sieve strikes a window with the primes up to its square root from
+one list of where each prime power's multiples start (_hits; Bays &
+Hudson, BIT 17 (1977)).  prime_window, the one primality kernel, strikes
+the first level: primes_up_to lists it one SEGMENT at a time into one
+array, and the moment sums sieve each piece with it.  mobius_up_to
+strikes the first two, one CHUNK at a time, and the FactorTable (P^-, P^+
+and Omega of every integer in [lo, hi), built only by the benchmark and
+the tests) walks every level, its window cut as the moment sums cut
+theirs (_cuts).  Sieves too large for physical memory are refused before
+allocating.  Factorization has one route, trial division (_trial), which
+factorize checks against a table's row.
 
 Conventions fixed here for the whole package:
 - all logarithms are natural logarithms;
@@ -24,6 +20,7 @@ Conventions fixed here for the whole package:
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -130,15 +127,17 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def prime_window(lo: int, hi: int) -> np.ndarray:
-    """Bool mask of the primes in [lo, hi): each prime p <= sqrt(hi - 1) strikes its multiples from p^2 on."""
-    if lo < 0 or hi <= lo:
-        raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    """Bool mask of the primes in [lo, hi): each prime p <= sqrt(hi - 1) strikes its multiples, then is set back."""
+    if not 0 <= lo < hi <= 2**63:
+        raise ValueError(f"need 0 <= lo < hi <= 2^63, got [{lo}, {hi})")
     check_fits(hi - lo + primes_nbytes(math.isqrt(hi - 1)))
     primes = primes_up_to(math.isqrt(hi - 1))
+    s, p, _ = next(_hits(lo, hi, primes))  # before the mask, so the listing's peak and the mask do not add
     mask = np.ones(hi - lo, dtype=bool)
     mask[: max(2 - lo, 0)] = False  # 0 and 1
-    for p in map(int, primes):
-        mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    for a, b in zip(s, p):
+        mask[a::b] = False
+    mask[primes[np.searchsorted(primes, lo) :] - lo] = True
     return mask
 
 
@@ -229,31 +228,22 @@ def _inverses(p: np.ndarray, dtype) -> np.ndarray:
     return x.astype(f"u{width}").view(f"i{width}")
 
 
-def _hits(lo: int, hi: int, primes: np.ndarray, dtype) -> list[tuple[np.ndarray, ...]]:
-    """The powers q = p^e of the primes that hit [lo, hi), one level per e: (starts, q, p, p's inverse).
+def _hits(lo: int, hi: int, primes: np.ndarray):
+    """The powers q = p^e of the primes that hit [lo, hi), one level per e: (starts (-lo) % q, q, p), int64.
 
-    The starts are (-lo) % q over the int64 primes, kept where they fall
-    below hi - lo.  A power that misses [lo, hi) misses all the higher ones,
-    so the next level q p is taken only from the hits, and only where
-    q <= (hi - 1) // p, so nothing passes 2^63.  Only the primes that hit
-    take an inverse (_inverses, in dtype).
+    The levels are made as they are read, the first always.  A power that
+    misses [lo, hi) misses all the higher ones, so the next level q p is
+    taken only from the hits, and only where q <= (hi - 1) // p.
     """
-    size = hi - lo
-    s = np.remainder(-lo, primes)
-    hit = s < size
-    s = s[hit]
-    p = q = primes[hit]
-    inv = _inverses(p, dtype)
-    levels = []
-    while p.size:
-        levels.append((s, q, p, inv))
-        more = q <= (hi - 1) // p
-        p, inv = p[more], inv[more]
-        q = q[more] * p
+    p = q = primes
+    while q is primes or q.size:
         s = np.remainder(-lo, q)
-        hit = s < size
-        p, q, s, inv = p[hit], q[hit], s[hit], inv[hit]
-    return levels
+        hit = s < hi - lo
+        p, s = p[hit], s[hit]
+        q = p if q is primes else q[hit]  # p^1 is p: the first level holds one array of both
+        yield s, q, p
+        more = q <= (hi - 1) // p
+        p, q = p[more], q[more] * p[more]
 
 
 def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
@@ -261,20 +251,17 @@ def _walk(lo: int, hi: int, primes: np.ndarray, rem, pmin, pmax, omega) -> None:
 
     Each piece lists its hits with numpy (_hits), then each output array
     takes one strided pass over them (_passes).  A piece's hit list holds
-    24 bytes per prime and 32 per higher power that hits, and at most 66
-    more per power while it lists the next level: under 256 bytes per prime
-    besides its array headers, unless most primes hit seven levels, as only
-    a few of the smallest do, which the segment's first piece holds (all 54
-    primes up to 256 once hi - lo or sqrt(hi) reaches 27,136).  So a piece of
-    max(hi - lo, min(sqrt(hi), SEGMENT)) / 512 primes holds under half the
-    segment's bool mask (hi - lo bytes), or under half of the prime sieve's
-    segment mask (min(sqrt(hi), SEGMENT) bytes), which primes_nbytes(sqrt(hi))
-    charges and the walk does not hold.  table_nbytes charges both; half,
-    because a forked child may walk its own piece at the same time.
+    16 bytes per prime and 24 per higher power, and at most 66 more per
+    power while it lists the next level or takes its inverses: under 256
+    bytes per prime, unless most primes hit seven levels, as only the first
+    piece's smallest do.  So a piece of max(hi - lo, min(sqrt(hi), SEGMENT))
+    / 512 primes holds under half the window's bool mask or of the prime
+    sieve's segment mask, both of which table_nbytes charges; half, because
+    a forked child may walk its own piece at the same time.
     """
     piece = max(hi - lo, min(math.isqrt(hi - 1), SEGMENT)) // 512 + 1
     for i in range(0, len(primes), piece):
-        _passes(_hits(lo, hi, primes[i : i + piece], rem.dtype), rem, pmin, pmax, omega)
+        _passes(list(_hits(lo, hi, primes[i : i + piece])), rem, pmin, pmax, omega)
 
 
 def _passes(levels, rem, pmin, pmax, omega) -> None:
@@ -286,15 +273,15 @@ def _passes(levels, rem, pmin, pmax, omega) -> None:
     is cheaper than numpy's strided store of a scalar).  The entries at
     stride q are multiples of q, so each division by p is exact and the
     divisions commute: a shift for p = 2, else a multiply by p's inverse
-    mod 2^32 or 2^64 (rem's width) that wraps to the quotient, several
-    times cheaper than numpy's strided floor division.
+    mod 2^32 or 2^64 (rem's width, _inverses of each level) that wraps to
+    the quotient, several times cheaper than numpy's strided floor division.
     """
-    for s, q, _, _ in levels:
+    for s, q, _ in levels:
         for a, b in zip(s, q):
             sub = omega[a::b]
             np.add(sub, 1, out=sub)
-    for s, q, p, inv in levels:
-        for a, b, c, by in zip(s, q, p, inv):
+    for s, q, p in levels:
+        for a, b, c, by in zip(s, q, p, _inverses(p, rem.dtype)):
             sub = rem[a::b]
             if c == 2:
                 np.right_shift(sub, 1, out=sub)
@@ -316,10 +303,10 @@ def window_dtype(hi: int):
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> None:
-    """Fill factor stats for [lo, hi) in place: one _walk of all the primes over the segment.
+    """Fill factor stats for [lo, hi) in place: one _walk of all the primes over the window.
 
     _walk lists its hits before it writes, so a prime that misses the
-    segment costs one element of a numpy remainder.
+    window costs one element of a numpy remainder.
     """
     rem = np.arange(lo, hi, dtype=pmin.dtype)
     unset = np.iinfo(pmin.dtype).max
@@ -336,19 +323,24 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, pmin, pmax, omega) -> N
     np.copyto(pmin, rem, where=pmin == unset)
 
 
-def _segments(size: int) -> int:
-    """Segments of at most SEGMENT integers for a build of size: one up to CHUNK, else the fewest even number."""
-    return 1 if size <= CHUNK else 2 * -(-size // (2 * SEGMENT))
+def _cuts(size: int) -> list[tuple[int, int]]:
+    """The pieces (a, b) that [0, size) is cut into for _in_two: one CHUNK each, or two halves of one chunk.
+
+    A one-chunk window longer than CHUNK // 2 is cut where numpy's pairwise
+    sum splits a contiguous float64 array, so the halves' sums add to the
+    whole window's bit for bit.
+    """
+    cuts = [0, size // 2 - size // 2 % 8, size] if CHUNK // 2 < size <= CHUNK else [*range(0, size, CHUNK), size]
+    return list(zip(cuts, cuts[1:]))
 
 
 def table_nbytes(lo: int, hi: int) -> int:
     """Bytes held by build_factor_table(lo, hi), with 64 KiB for its array headers and ufunc buffers."""
     width = np.dtype(window_dtype(hi)).itemsize
-    outputs = (2 * width + 1) * (hi - lo)  # P^-, P^+ and int8 omega: 9 B below 2^31, 17 above
-    n = _segments(hi - lo)
-    # each process sieving segments holds one segment's residual cofactors and bool mask
-    scratch = min(n, 2) * -(-(hi - lo) // n) * (width + 1)
-    return outputs + scratch + primes_nbytes(math.isqrt(hi - 1)) + (1 << 16)
+    # P^-, P^+ and int8 omega (9 B per integer below 2^31, 17 above), and in each of two processes
+    # one piece's residual cofactors and bool mask (_cuts: two pieces hold at most the window)
+    scratch = min(hi - lo, 2 * CHUNK) * (width + 1)
+    return (2 * width + 1) * (hi - lo) + scratch + primes_nbytes(math.isqrt(hi - 1)) + (1 << 16)
 
 
 def build_factor_table(lo: int, hi: int) -> FactorTable:
@@ -356,21 +348,14 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
 
     Cost is O((hi - lo) log log hi + sqrt(hi)).  The outputs take 9 bytes
     per integer below 2^31 and 17 above (p_minus and p_plus in window_dtype,
-    int8 omega), written in place one segment at a time into one anonymous
-    shared mapping, whatever the window's length.  A window of at most
-    CHUNK integers is one segment, sieved by the caller.  A longer one is
-    cut into the fewest even number of equal segments of at most SEGMENT,
-    and its two halves are sieved by two processes at once when two cores
-    are free (_in_two); the child writes the caller's table through the
-    mapping.
-    Each process holds the scratch of one segment: the residual cofactors
-    (window_dtype too) and one bool mask, at most 20 MiB below 2^31 and
-    36 MiB above.  The build is refused before allocating when hi exceeds
-    2^63 (past int64) or when its total, table_nbytes, exceeds physical
-    memory.  Each segment is one _walk of all the primes <= sqrt(hi - 1);
-    p_minus starts at its dtype's maximum and entries still there after the
-    walk are primes.  Deterministic: rebuilding any sub-window, cut into any
-    segments, yields identical values.
+    int8 omega), written in place into one anonymous shared mapping, one
+    _cuts piece at a time, the first half of the pieces in a forked child
+    when two cores are free (_in_two).  Each process holds one piece's
+    scratch: the residual cofactors (window_dtype too) and one bool mask,
+    at most 5 MiB below 2^31 and 9 MiB above.  The build is refused before
+    allocating when hi exceeds 2^63 or table_nbytes exceeds physical
+    memory.  Each piece is one _walk of all the primes <= sqrt(hi - 1).
+    Rebuilding any sub-window, cut into any pieces, yields identical values.
     """
     if lo < 2:
         raise ValueError(f"window floor is 2, got lo={lo}")
@@ -382,18 +367,15 @@ def build_factor_table(lo: int, hi: int) -> FactorTable:
     size = hi - lo
     primes = primes_up_to(math.isqrt(hi - 1))
     dtype = np.dtype(window_dtype(hi))
-    n = _segments(size)
     # one zero-filled anonymous shared mapping, which a child forked by _in_two writes through
     mapping = mmap.mmap(-1, size * (2 * dtype.itemsize + 1))
     pmin, pmax = (np.frombuffer(mapping, dtype, size, i * size * dtype.itemsize) for i in (0, 1))
     omega = np.frombuffer(mapping, np.int8, size, 2 * size * dtype.itemsize)
-    cuts = [size * i // n for i in range(n + 1)]
 
-    def segment(i: int) -> None:
-        a, b = cuts[i], cuts[i + 1]
-        _sieve_segment(lo + a, lo + b, primes, pmin[a:b], pmax[a:b], omega[a:b])
+    def piece(cut: tuple[int, int]) -> None:
+        _sieve_segment(lo + cut[0], lo + cut[1], primes, *(arr[slice(*cut)] for arr in (pmin, pmax, omega)))
 
-    _in_two(segment, range(n))
+    _in_two(piece, _cuts(size))
     for arr in (pmin, pmax, omega, primes):
         arr.flags.writeable = False
     return FactorTable(lo=lo, hi=hi, p_minus=pmin, p_plus=pmax, omega=omega, primes=primes)
@@ -459,17 +441,32 @@ def mobius(f: Factorization) -> int:
 
 
 def mobius_up_to(n: int) -> np.ndarray:
-    """mu(m) for m = 1 .. n as float64 (index m - 1), by a sieve over primes_up_to(n).
+    """mu(m) for m = 1 .. n as float64 (index m - 1), struck one CHUNK at a time by the primes <= sqrt(n).
 
-    The primes come first and stay while mu is sieved, so besides its
-    output it holds at most primes_nbytes(n) + n + 1 (mu's int8 array).
+    Each chunk starts from m itself: each p divides its multiples by -p
+    and each p^2 zeroes its multiples (the first two levels of _hits).  A
+    squarefree m is left with +-1, or with +-P for the one prime P > sqrt(n)
+    that divides it, which flips its sign.  Charged its output, the primes
+    and one chunk's scratch (m in window_dtype and a bool mask) up front.
     """
-    primes = primes_up_to(n)
-    mu = np.ones(n + 1, dtype=np.int8)
-    for p in map(int, primes):
-        mu[::p] *= -1
-        mu[:: p * p] = 0
-    return mu[1:].astype(np.float64)
+    check_fits(8 * n + 9 * min(n, CHUNK) + primes_nbytes(math.isqrt(n)))
+    primes = primes_up_to(math.isqrt(n))
+    mu = np.empty(n, dtype=np.float64)
+    for lo in range(1, n + 1, CHUNK):
+        x = np.arange(lo, min(lo + CHUNK, n + 1), dtype=window_dtype(n + 1))
+        levels = _hits(lo, lo + x.size, primes)
+        s, p, _ = next(levels)
+        for a, b in zip(s, p):
+            sub = x[a::b]
+            np.floor_divide(sub, -b, out=sub)
+        for s, q, _ in itertools.islice(levels, 1):
+            for a, b in zip(s, q):
+                x[a::b] = 0
+        out = mu[lo - 1 : lo - 1 + x.size]
+        np.sign(x, out=out)
+        np.abs(x, out=x)
+        np.negative(out, out=out, where=x > 1)
+    return mu
 
 
 def log_integral(x: float | np.ndarray) -> float | np.ndarray:

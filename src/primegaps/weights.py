@@ -12,13 +12,12 @@ walk, one CRT step per appended prime) once, then adds each d's value
 to its classes in a buffer starting at any lo.  The four moment sums run
 through one function (_moment) and one kernel (_moment_sums); they differ
 only in the factor that multiplies w^2.  The kernel cuts [N, 2N) into
-pieces of one sieve.CHUNK (a one-chunk window longer than half a chunk in
-two halves, cut where numpy's pairwise sum splits it), the first half of
-them in a forked child when two cores are free; each process fills its
-own buffer from the plan and writes the summand into it in place, one
-sieve.BLOCK at a time with the float operations of the plain expression in
-their order, and the piece sums go to math.fsum in order, so the sums hold
-no N-sized array and keep their bits.  Lemma 1 reads no indicator.  Lemmas
+pieces as sieve._cuts does, the first half of them in a forked child
+when two cores are free; each process fills its own buffer from the plan
+and writes the summand into it in place, one sieve.BLOCK at a time with
+the float operations of the plain expression in their order, and the
+piece sums go to math.fsum in order, so the sums hold no N-sized array
+and keep their bits.  Lemma 1 reads no indicator.  Lemmas
 2 and 3 and S weigh w^2 by the count of shifts h with n + h a target, or
 for S by that count minus one.  _moment decides the targets, one mask per
 piece: its primes from sieve.prime_window, with the star members, listed
@@ -276,18 +275,15 @@ def _moment_sums(N: int, plan, targets, shifts: tuple[int, ...], minus_one: bool
 
     hits(n) counts the h in shifts with n + h in targets(lo, hi), a bool
     mask over [lo, hi) (None: no indicator), in the smallest type that holds
-    len(shifts).  The pieces, one sieve.CHUNK each, are shared between two
-    processes (sieve._in_two), each filling its own buffer.  A piece calls
-    targets once, over [N + a, N + b + max shifts), and writes its summand
-    into its weights one sieve.BLOCK at a time, as w * w, w * w * hits or
-    w * ((hits - 1) * w); the piece sums go to math.fsum in order.  A window
-    of one chunk longer than CHUNK // 2 is cut at N // 2 - (N // 2) % 8,
-    where numpy's pairwise sum splits a contiguous float64 array, so its
-    halves' sums add to the whole window's bit for bit.
+    len(shifts).  The pieces, as sieve._cuts cuts [0, N), are shared
+    between two processes (sieve._in_two), each filling its own buffer.  A
+    piece calls targets once, over [N + a, N + b + max shifts), and writes
+    its summand into its weights one sieve.BLOCK at a time, as w * w,
+    w * w * hits or w * ((hits - 1) * w); the piece sums go to math.fsum in
+    order, and they add to the whole window's bit for bit.
     """
     dtype = np.min_scalar_type(len(shifts))
-    cuts = [0, N // 2 - N // 2 % 8, N] if sieve.CHUNK // 2 < N <= sieve.CHUNK else [*range(0, N, sieve.CHUNK), N]
-    pieces = list(zip(cuts, cuts[1:]))
+    pieces = sieve._cuts(N)
     size, buf = max(b - a for a, b in pieces), None
 
     def piece(cut: tuple[int, int]) -> tuple[float, int]:

@@ -157,11 +157,11 @@ def test_subwindow_rebuild_is_identical(table_full_1e6):
 
 
 def test_segment_boundary_rebuild_is_identical(table_win_1e7):
-    # the 1e7 window is cut into four segments, two per process; a
-    # misaligned per-segment residual fix-up would show up next to a cut
+    # the 1e7 window is cut into ten pieces of one CHUNK (the last short),
+    # five per process; a misaligned per-piece residual fix-up would show
+    # up next to a cut, the one between the processes among them
     t = table_win_1e7
-    size = t.hi - t.lo
-    for cut in (size // 4, size // 2, 3 * size // 4):
+    for cut in (sieve.CHUNK, 5 * sieve.CHUNK, 9 * sieve.CHUNK):
         lo = t.lo + cut - 500
         sub = build_factor_table(lo, lo + 1000)
         a, b = lo - t.lo, lo - t.lo + 1000
@@ -219,10 +219,10 @@ def test_block_and_segment_sizes_do_not_change_the_table(monkeypatch, lo, hi):
 
 def test_build_scratch_is_bounded_by_the_segment(monkeypatch, tmp_path):
     # each process's scratch is its tracemalloc peak through its last
-    # segment less what it held at its first: at most one segment's, and
-    # the same at N = 2^23 (two segments, one per process when two cores
-    # are free) and 2^24 (four segments, two per process).  A build just
-    # over CHUNK is cut into two half-size segments, one per process.  A
+    # piece less what it held at its first: at most one CHUNK's, and the
+    # same at N = 2^23 (eight pieces, four per process when two cores are
+    # free) and 2^24 (sixteen pieces, eight per process).  A build just
+    # over CHUNK is cut into a chunk and one integer, one per process.  A
     # forked child inherits the tracing and logs through a file.
     log = tmp_path / "peaks"
     sieve_segment = sieve._sieve_segment
@@ -247,8 +247,8 @@ def test_build_scratch_is_bounded_by_the_segment(monkeypatch, tmp_path):
             pid, h, p = map(int, line.split())
             held[pid], peak[pid] = min(held.get(pid, h), h), max(peak.get(pid, p), p)
         scratch[hi - lo] = {pid: peak[pid] - held[pid] for pid in peak}
-    one_segment = SEGMENT * (4 + 1)  # int32 residuals and one bool mask
-    assert all(s <= one_segment + (1 << 20) for by_pid in scratch.values() for s in by_pid.values()), scratch
+    one_piece = sieve.CHUNK * (4 + 1)  # int32 residuals and one bool mask
+    assert all(s <= one_piece + (1 << 18) for by_pid in scratch.values() for s in by_pid.values()), scratch
     assert abs(max(scratch[2**24].values()) - max(scratch[2**23].values())) < 1 << 20, scratch
     assert all(len(by_pid) == min(2, len(os.sched_getaffinity(0))) for by_pid in scratch.values()), scratch
 
@@ -265,16 +265,17 @@ def _one_process_table(lo, hi):
 
 
 @pytest.mark.parametrize("segment, lo, length", [
-    (1 << 16, 10**6, 2 << 16),  # 2 segments, one per process
-    (1 << 16, 10**6 + 7, (3 << 16) - 3),  # 3 segments' length, cut into 4
-    (1 << 16, 3 * 10**6 + 1, (5 << 16) - 1),  # 5 segments' length, cut into 6
+    (1 << 16, 10**6, 2 << 16),  # 2 chunks, one per process
+    (1 << 16, 10**6 + 7, (3 << 16) - 3),  # 3 pieces, the last 3 short of a chunk
+    (1 << 16, 3 * 10**6 + 1, (5 << 16) - 1),  # 5 pieces, the last 1 short of a chunk
     (1 << 16, 2**31 - (1 << 16), (3 << 16) - 5),  # across 2^31: int64 outputs
-    (SEGMENT, 10**7, 2 * SEGMENT + 9),  # the real segment: cut into 4
-    (SEGMENT, 2, 2 * 10**6 + 15),  # [2, 2e6 + 17), over one CHUNK: cut into 2
-    (SEGMENT, 10**6 + 3, sieve.CHUNK),  # one CHUNK: one segment in the mapping, against heap arrays
+    (SEGMENT, 10**7, 2 * SEGMENT + 9),  # the real CHUNK: 8 chunks and 9 integers
+    (SEGMENT, 2, 2 * 10**6 + 15),  # [2, 2e6 + 17): one chunk and the rest
+    (SEGMENT, 10**6 + 3, sieve.CHUNK),  # one CHUNK: two halves in the mapping, against heap arrays
 ])
 def test_split_build_equals_one_process_reference(monkeypatch, segment, lo, length):
-    # builds over one CHUNK are cut, and CHUNK <= SEGMENT as in the module
+    # the build cuts its window into CHUNK pieces (two halves of one chunk),
+    # the reference into SEGMENTs, and CHUNK <= SEGMENT as in the module
     monkeypatch.setattr(sieve, "CHUNK", min(segment, sieve.CHUNK))
     monkeypatch.setattr(sieve, "SEGMENT", segment)
     t = build_factor_table(lo, lo + length)
@@ -335,7 +336,7 @@ def _interleaved_walk(lo, hi, primes, rem, pmin, pmax, omega):
     (2, 2**16),  # sqrt(hi) < 256: all 54 sieving primes in one piece, 2 hitting 15 levels
     (2, 10**5),
     (10**7, 10**7 + 300_009),
-    (10**6, 10**6 + SEGMENT + 100_000),  # cut into two segments
+    (10**6, 10**6 + SEGMENT + 100_000),  # cut into five pieces
     (2**31 - 200_000, 2**31 + 100_000),  # int64 residues
     (10**12, 10**12 + 100_000),
     (2**50 - 3, 2**50 - 2),  # 59 * 176329 * 108224111: 2,063,689 sieving primes, two hit
@@ -365,7 +366,7 @@ def test_hits_list_exactly_the_powers_that_hit(lo, hi):
         while q < hi and (-lo) % q < hi - lo:
             want.append(((-lo) % q, q, p))
             q *= p
-    levels = sieve._hits(lo, hi, primes, sieve.window_dtype(hi))
+    levels = sieve._hits(lo, hi, primes)
     got = [(s, q, p) for level in levels for s, q, p in zip(*(a.tolist() for a in level[:3]))]
     assert sorted(got) == sorted(want)
 
@@ -492,7 +493,49 @@ def test_prime_window_from_zero_and_one():
         assert np.array_equal(sieve.prime_window(lo, hi), want), (lo, hi)
 
 
-@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 4), (-1, 10), (-10, -5)])
+def test_prime_window_over_its_own_sieving_primes():
+    # the strikes start at each prime's first multiple in the window, so the
+    # sieving primes that lie in it are set back; every hi up to 2500
+    want = np.zeros(2500, dtype=bool)
+    want[plain_sieve(2499)] = True
+    for lo in (0, 1, 2, 3, 7, 48, 49):
+        for hi in range(lo + 1, 2501):
+            assert np.array_equal(sieve.prime_window(lo, hi), want[lo:hi]), (lo, hi)
+
+
+def _per_prime_window(lo, hi):
+    """The mask of [lo, hi) with each sieving prime's start taken in Python, from max(p^2, its first multiple)."""
+    mask = np.ones(hi - lo, dtype=bool)
+    mask[: max(2 - lo, 0)] = False
+    for p in map(int, primes_up_to(math.isqrt(hi - 1))):
+        mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return mask
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2**40, 2**40 + 1000),  # 82,025 sieving primes, most of them missing
+    (2**44 - 500, 2**44 + 500),  # 295,947 sieving primes
+    (10**13 + 7, 10**13 + 2**16),
+])
+def test_prime_window_equals_per_prime_starts_high_up(lo, hi):
+    assert np.array_equal(sieve.prime_window(lo, hi), _per_prime_window(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [(10**7, 10**7 + 2**20 + 6), (10**9, 10**9 + 2**20), (2**40, 2**40 + 1000)])
+def test_prime_window_holds_its_charge(lo, hi):
+    # prime_window charges its mask and the prime sieve to its root; the hit
+    # list is made before the mask, within what that sieve frees
+    tracemalloc.start()
+    try:
+        sieve.prime_window(lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    charge = hi - lo + sieve.primes_nbytes(math.isqrt(hi - 1))
+    assert peak <= charge, (peak, charge)
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 4), (-1, 10), (-10, -5), (2**63, 2**63 + 1)])
 def test_prime_window_rejects_bad_windows(lo, hi):
     with pytest.raises(ValueError, match="need 0 <= lo < hi"):
         sieve.prime_window(lo, hi)
@@ -563,18 +606,44 @@ def test_mobius_up_to_matches_sympy():
     assert sieve.mobius_up_to(1).tolist() == [1.0]
 
 
-def test_mobius_up_to_holds_its_charge():
-    # bv-weighted --f mobius charges primes_nbytes(n) + n + 1 for the sieve:
-    # the primes (two segments here) stay while mu's int8 array is sieved,
-    # and then the float64 output is made
-    n = SEGMENT + 1
-    tracemalloc.start()
-    try:
-        sieve.mobius_up_to(n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= sieve.primes_nbytes(n) + n + 1 + 8 * n, (peak, sieve.primes_nbytes(n))
+def test_mobius_up_to_equals_the_whole_range_sieve():
+    # chunk edges, and n just past 1031^2 = 1,062,961, the first prime
+    # square past a chunk edge; mu does not depend on n, so one reference
+    # serves every n
+    want = _mobius_sieve(2 * sieve.CHUNK + 7)[1:].astype(np.float64)
+    C = sieve.CHUNK
+    for n in [*range(31), C - 1, C, C + 1, 1031**2 + 1, 2 * C + 7]:
+        got = sieve.mobius_up_to(n)
+        assert got.dtype == np.float64 and got.tobytes() == want[:n].tobytes(), n
+        assert not np.signbit(got[got == 0]).any(), n  # no -0.0
+
+
+def test_mobius_up_to_holds_its_charge(monkeypatch):
+    # mobius_up_to charges its output, the primes <= sqrt(n) and one chunk's
+    # scratch before it sieves, and its traced peak stays within that charge
+    charged = []
+    check = sieve.check_fits
+    monkeypatch.setattr(sieve, "check_fits", lambda nbytes: charged.append(nbytes) or check(nbytes))
+    for n in (sieve.CHUNK + 1, 2**22 + 1, 3 * sieve.CHUNK + 7):
+        charged.clear()
+        tracemalloc.start()
+        try:
+            sieve.mobius_up_to(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[0], (n, peak, charged[0])
+
+
+def test_mobius_up_to_past_memory_is_refused_before_sieving(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieved the primes up to {n}")
+
+    sysconf = os.sysconf
+    monkeypatch.setattr(sieve, "primes_up_to", no_sieve)
+    monkeypatch.setattr(os, "sysconf", lambda name: 1000 if name == "SC_PHYS_PAGES" else sysconf(name))
+    with pytest.raises(ValueError, match="physical memory"):
+        sieve.mobius_up_to(10**6)
 
 
 def test_build_refuses_past_int64_before_sieving(monkeypatch):
